@@ -318,7 +318,21 @@ pub fn lint_file(rel: &str, lx: &Lexed, cfg: &Config) -> Vec<Finding> {
 /// the VCS store, and bx-lint's own deliberately-bad fixtures.
 const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
 
+/// Whether `dir` holds a `Cargo.toml` that declares a `[workspace]` of its
+/// own (a nested, separately built workspace such as the benchmark).
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+        toml.lines().any(|line| {
+            let line = line.trim();
+            line == "[workspace]" || line.starts_with("[workspace.")
+        })
+    })
+}
+
 /// Recursively collects `.rs` files under `root`, repo-relative, sorted.
+/// The walk does not enter a subdirectory that is its own Cargo workspace:
+/// those sources are built (and their calls resolved) separately, so folding
+/// them into this workspace's call graph would bind calls to the wrong items.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -329,7 +343,10 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name.as_ref())
+                    && !name.starts_with('.')
+                    && !is_nested_workspace(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {

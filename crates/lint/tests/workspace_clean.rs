@@ -101,3 +101,62 @@ fn workspace_sarif_round_trips_through_own_parser() {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }
+
+#[test]
+fn walk_stops_at_nested_cargo_workspaces() {
+    // A directory whose Cargo.toml declares its own `[workspace]` is built
+    // separately; its items must not join this workspace's call graph,
+    // where they would capture calls such as `f64::round`.
+    let root = std::env::temp_dir().join(format!("bx-lint-nested-ws-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+    write("src/lib.rs", "");
+    write(
+        "member/Cargo.toml",
+        "[package]\nname = \"member\"\nedition.workspace = true\n",
+    );
+    write("member/src/lib.rs", "");
+    write(
+        "nested/Cargo.toml",
+        "[package]\nname = \"nested\"\n\n# own workspace\n[workspace]\n",
+    );
+    write("nested/src/main.rs", "");
+    write(
+        "nested2/Cargo.toml",
+        "[workspace.package]\nversion = \"0.1.0\"\n",
+    );
+    write("nested2/lib.rs", "");
+
+    let files = bx_lint::collect_sources(&root).expect("walk succeeds");
+    let rel: Vec<String> = files
+        .iter()
+        .map(|p| {
+            p.strip_prefix(&root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(rel, ["member/src/lib.rs", "src/lib.rs"]);
+}
+
+#[test]
+fn workspace_scan_excludes_the_benchmark_workspace() {
+    let root = repo_root();
+    let files = bx_lint::collect_sources(&root).unwrap();
+    assert!(
+        root.join("perfbench/Cargo.toml").is_file(),
+        "the benchmark is a nested workspace this test pins"
+    );
+    assert!(
+        files.iter().all(|p| !p.starts_with(root.join("perfbench"))),
+        "perfbench/ is its own Cargo workspace and must not be scanned"
+    );
+    assert!(files.iter().any(|p| p.starts_with(root.join("crates"))));
+}

@@ -1170,13 +1170,19 @@ impl Controller {
         0
     }
 
-    /// Gathers payload via the command's data pointer (PRP or SGL).
+    /// Gathers payload via the command's data pointer (PRP or SGL) into the
+    /// recycled staging buffer, as [`Controller::gather_inline`] does.
     fn gather_dptr(&mut self, sqe: &SubmissionEntry) -> Option<Vec<u8>> {
         let len = sqe.data_len() as usize;
         if len == 0 {
             return None;
         }
         self.bus.clock.advance(self.timing.prp_setup);
+        // A malformed pointer drops the staging buffer; the next gather
+        // regrows it.
+        let mut out = std::mem::take(&mut self.scratch_payload);
+        out.clear();
+        out.reserve(len);
         match sqe.data_pointer_kind() {
             DataPointerKind::Prp => {
                 let mem = self.bus.mem.borrow();
@@ -1187,7 +1193,6 @@ impl Controller {
                     clock.advance(t);
                 })
                 .ok()?;
-                let mut out = Vec::with_capacity(len);
                 for seg in segments {
                     // PRP moves whole pages over the wire regardless of how
                     // few bytes the host cares about — the paper's Fig 1
@@ -1217,7 +1222,6 @@ impl Controller {
                     clock.advance(t);
                 })
                 .ok()?;
-                let mut out = Vec::with_capacity(len);
                 for ext in extents {
                     let t = self
                         .bus

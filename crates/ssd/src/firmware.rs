@@ -94,6 +94,9 @@ pub struct BlockFirmware {
     nand_io: bool,
     /// Device-DRAM page buffer offset (landing zone in NAND-off mode).
     page_buffer: usize,
+    /// Zero-padded staging page for a write's sub-page tail, reused across
+    /// commands.
+    tail_page: Vec<u8>,
 }
 
 impl BlockFirmware {
@@ -107,6 +110,7 @@ impl BlockFirmware {
         BlockFirmware {
             nand_io,
             page_buffer: region.offset,
+            tail_page: Vec::new(),
         }
     }
 
@@ -143,13 +147,20 @@ impl FirmwareHandler for BlockFirmware {
                     }
                     return CommandOutcome::ok(ctx.now);
                 }
-                // Page-at-a-time through the FTL; sub-page tails are padded.
+                // Page-at-a-time through the FTL. Full pages go straight
+                // from the payload; a sub-page tail is zero-padded.
                 let mut t = ctx.now;
                 let base_lpn = sqe.slba();
                 for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
-                    let mut page = vec![0u8; PAGE_SIZE];
-                    page[..chunk.len()].copy_from_slice(chunk);
-                    match ctx.ftl.write(base_lpn + i as u64, &page, ctx.nand, t) {
+                    let page = if chunk.len() == PAGE_SIZE {
+                        chunk
+                    } else {
+                        self.tail_page.clear();
+                        self.tail_page.extend_from_slice(chunk);
+                        self.tail_page.resize(PAGE_SIZE, 0);
+                        &self.tail_page
+                    };
+                    match ctx.ftl.write(base_lpn + i as u64, page, ctx.nand, t) {
                         Ok(done) => t = done,
                         Err(e) => return CommandOutcome::fail(ftl_status(&e), ctx.now),
                     }
@@ -274,6 +285,27 @@ mod tests {
         rd.set_slba(10);
         rd.set_data_len(data.len() as u32);
         assert_eq!(handle(&mut r, &rd, None).response.unwrap(), data);
+    }
+
+    #[test]
+    fn reused_tail_page_never_leaks_stale_bytes() {
+        let mut r = rig(true);
+        for (slba, tail, fill) in [(0u64, 100usize, 0xA1u8), (10, 10, 0xB2)] {
+            let data = vec![fill; PAGE_SIZE + tail];
+            let mut w = SubmissionEntry::io(IoOpcode::Write, 1, 1);
+            w.set_slba(slba);
+            w.set_data_len(data.len() as u32);
+            assert_eq!(handle(&mut r, &w, Some(&data)).status, Status::Success);
+        }
+        // The second command's tail page, read whole from the FTL: its 10
+        // bytes, then zeros where the first command's 100-byte tail sat in
+        // the reused pad buffer.
+        let (page, _) = r.ftl.read(11, &mut r.nand, Nanos::from_ms(10)).unwrap();
+        assert_eq!(page.len(), PAGE_SIZE);
+        assert!(page[..10].iter().all(|&b| b == 0xB2));
+        assert!(page[10..].iter().all(|&b| b == 0), "stale pad bytes leaked");
+        let (full, _) = r.ftl.read(10, &mut r.nand, Nanos::from_ms(10)).unwrap();
+        assert_eq!(full, vec![0xB2; PAGE_SIZE], "full pages pass through");
     }
 
     #[test]

@@ -154,6 +154,9 @@ pub struct Ftl {
     /// The write-ahead mapping journal: acks wait for its records, recovery
     /// replays them.
     journal: MapJournal,
+    /// Page buffer GC relocation and block migration copy through, reused
+    /// so copy-back does not allocate per page.
+    copy_buf: Vec<u8>,
     /// Flight-recorder sink (inert unless recording).
     trace: TraceSink,
 }
@@ -204,6 +207,7 @@ impl Ftl {
             erase_counts: BTreeMap::new(),
             bad: BTreeSet::new(),
             journal: MapJournal::new(),
+            copy_buf: Vec::new(),
             trace: TraceSink::disabled(),
         }
     }
@@ -424,14 +428,35 @@ impl Ftl {
                 continue;
             };
             let src = self.die_to_ppa(id.die, id.block, page);
-            let (data, t_read) = nand.read(src, now)?;
-            now = t_read;
-            let (dst, t_prog) = self.program_remapped(lpn, &data, nand, now, depth)?;
-            now = t_prog;
-            self.commit_mapping(lpn, dst, t_prog, now);
-            self.stats.gc_writes += 1;
+            now = self.copy_back(lpn, src, nand, now, depth)?;
         }
         Ok(now)
+    }
+
+    /// Relocates one live page: reads `src` into the reused copy buffer,
+    /// programs it on a fresh page and journals the new mapping. Returns the
+    /// program-complete instant.
+    fn copy_back(
+        &mut self,
+        lpn: u64,
+        src: Ppa,
+        nand: &mut NandArray,
+        now: Nanos,
+        depth: u32,
+    ) -> Result<Nanos, FtlError> {
+        // Taken, not borrowed: programming needs `&mut self`. A nested
+        // migration (a relocation whose program fails) finds the slot empty
+        // and grows its own buffer.
+        let mut buf = std::mem::take(&mut self.copy_buf);
+        let copied = nand
+            .read_into(src, now, &mut buf)
+            .map_err(FtlError::from)
+            .and_then(|t_read| self.program_remapped(lpn, &buf, nand, t_read, depth));
+        self.copy_buf = buf;
+        let (dst, t_prog) = copied?;
+        self.commit_mapping(lpn, dst, t_prog, t_prog);
+        self.stats.gc_writes += 1;
+        Ok(t_prog)
     }
 
     /// Writes one logical page. Runs GC first if free space is low.
@@ -553,12 +578,7 @@ impl Ftl {
             for page in 0..self.pages_per_block {
                 if let Some(lpn) = info.owner[page as usize] {
                     let src = self.die_to_ppa(victim.die, victim.block, page);
-                    let (data, t_read) = nand.read(src, now)?;
-                    now = t_read;
-                    let (dst, t_prog) = self.program_remapped(lpn, &data, nand, now, 0)?;
-                    now = t_prog;
-                    self.commit_mapping(lpn, dst, t_prog, now);
-                    self.stats.gc_writes += 1;
+                    now = self.copy_back(lpn, src, nand, now, 0)?;
                     moved += 1;
                 }
             }

@@ -87,16 +87,31 @@ const KIND_TRIM: u8 = 2;
 const KIND_RETIRE: u8 = 3;
 const FLAG_HAS_PREV: u8 = 1;
 
-/// Bitwise CRC-32 (IEEE 802.3 polynomial, reflected). Slow but dependency-
-/// free; journal volumes are tiny.
+/// Byte-at-a-time lookup table for [`crc32`], built at compile time: entry
+/// `i` is the bitwise CRC step applied eight times to `i`.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), one table lookup per byte.
+/// Every host page write appends a record, so this runs on the write path.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -295,6 +310,10 @@ impl MapJournal {
         self.prune_covered(now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        debug_assert!(
+            self.records.last().is_none_or(|r| r.seq < seq),
+            "journal records must stay seq-ascending"
+        );
         let rec = JournalRecord { seq, op };
         self.busy_until = self.busy_until.max(now) + JOURNAL_APPEND_LATENCY;
         self.records.push(StoredRecord {
@@ -360,9 +379,16 @@ impl MapJournal {
         else {
             return;
         };
-        let before = self.records.len();
-        self.records.retain(|r| r.seq >= covers);
-        self.stats.pruned += (before - self.records.len()) as u64;
+        // Records are appended in `seq` order (asserted in `append`) and
+        // only ever truncated, so the covered set is a prefix: the cut costs
+        // what it drops, not the length of the live tail.
+        let n = self.records.partition_point(|r| r.seq < covers);
+        debug_assert!(
+            self.records[..n].iter().all(|r| r.seq < covers),
+            "journal records must stay seq-ascending"
+        );
+        self.records.drain(..n);
+        self.stats.pruned += n as u64;
     }
 
     /// A power cut at instant `at`: checkpoints and records that had not
@@ -464,6 +490,22 @@ mod tests {
             let buf = encode(&rec);
             assert_eq!(decode(&buf), Some(rec));
         }
+    }
+
+    #[test]
+    fn crc32_is_the_ieee_reflected_function() {
+        // The standard CRC-32 check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        // A record's stored checksum is pinned too (value from an independent
+        // CRC-32 implementation), so the on-medium format cannot drift.
+        let rec = JournalRecord {
+            seq: 1,
+            op: JournalOp::Trim { lpn: 5 },
+        };
+        let buf = encode(&rec);
+        assert_eq!(u32_at(&buf, RECORD_BYTES - 4), 0xF555_12CE);
+        assert_eq!(decode(&buf), Some(rec));
     }
 
     #[test]
@@ -580,5 +622,86 @@ mod tests {
         let ra = a.replayable_from_start();
         let rb = b.replayable_from_start();
         assert_eq!(ra, rb);
+    }
+
+    /// Drives several checkpoint cycles with interleaved power cuts and
+    /// checks the prefix-cut invariants after every step.
+    #[test]
+    fn prefix_pruning_holds_across_checkpoint_cycles_and_cuts() {
+        let mut j = MapJournal::new();
+        j.set_checkpoint_threshold(8);
+        let mut now = Nanos::ZERO;
+        // Records that power cuts tore or that never reached the medium.
+        let mut lost = 0u64;
+        let mut lost_seqs = std::collections::BTreeSet::new();
+        let mut cuts = 0;
+        for step in 0..400u64 {
+            // Every 50th step appends a burst at one instant and cuts while
+            // the burst (and any checkpoint written with it) is in flight:
+            // one record tears and the rest never reach the medium.
+            let burst = if step % 50 == 49 { 3 } else { 1 };
+            for i in 0..burst {
+                // The target program outlives the step, so the newest record
+                // is never absorbed by the checkpoint written right after it.
+                j.append(
+                    JournalOp::Trim { lpn: step * 4 + i },
+                    now + Nanos::from_us(200),
+                    now,
+                );
+                if j.needs_checkpoint() {
+                    j.write_checkpoint(&[], [], now);
+                }
+            }
+            if burst > 1 {
+                let at = now + JOURNAL_APPEND_LATENCY + Nanos::from_us(1);
+                let before = j.live_records();
+                lost_seqs.extend(
+                    j.records
+                        .iter()
+                        .filter(|r| r.durable_at > at)
+                        .map(|r| r.seq),
+                );
+                j.power_cut(at);
+                j.truncate_torn();
+                lost += (before - j.live_records()) as u64;
+                cuts += 1;
+                now = at;
+            }
+            now += Nanos::from_us(150);
+
+            assert!(
+                j.records.windows(2).all(|w| w[0].seq < w[1].seq),
+                "records stay strictly seq-ascending (step {step})"
+            );
+            let stats = j.stats();
+            assert_eq!(
+                stats.pruned + j.live_records() as u64 + lost,
+                stats.appends,
+                "every append is live, pruned or lost to a cut (step {step})"
+            );
+            let from = j.recovery_base().map_or(0, |c| c.covers_below);
+            let (recs, torn) = j.replayable(from);
+            assert!(!torn, "truncate_torn leaves no torn tail");
+            for w in recs.windows(2) {
+                assert!(w[0].seq < w[1].seq);
+                assert!(
+                    (w[0].seq + 1..w[1].seq).all(|s| lost_seqs.contains(&s)),
+                    "replay skips only records lost to a cut: {} -> {} (step {step})",
+                    w[0].seq,
+                    w[1].seq
+                );
+            }
+            assert!(recs.iter().all(|r| r.seq >= from));
+            let live: Vec<u32> = j.records.iter().map(|r| r.seq).collect();
+            let replayed: Vec<u32> = recs.iter().map(|r| r.seq).collect();
+            assert!(
+                live.ends_with(&replayed),
+                "replay is a suffix of the live tail"
+            );
+        }
+        let stats = j.stats();
+        assert!(stats.checkpoints >= 3, "{stats:?}");
+        assert!(stats.pruned > 0, "{stats:?}");
+        assert!(cuts >= 3 && lost > cuts, "cuts {cuts}, lost {lost}");
     }
 }

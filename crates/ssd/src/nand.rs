@@ -375,16 +375,38 @@ impl NandArray {
     /// * [`NandError::BadAddress`] outside the geometry.
     /// * [`NandError::ReadUnwritten`] for never-programmed pages.
     pub fn read(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), NandError> {
+        let mut data = Vec::new();
+        let done = self.read_into(ppa, now, &mut data)?;
+        Ok((data, done))
+    }
+
+    /// [`NandArray::read`] into a caller-owned buffer: `out` is cleared and
+    /// refilled with the page, so a buffer reused across reads stops
+    /// allocating once it has grown to a page. On error `out`'s contents are
+    /// unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As [`NandArray::read`].
+    pub fn read_into(
+        &mut self,
+        ppa: Ppa,
+        now: Nanos,
+        out: &mut Vec<u8>,
+    ) -> Result<Nanos, NandError> {
         self.check(ppa)?;
+        out.clear();
         if !self.cfg.enabled {
-            return Ok((vec![0; self.cfg.page_size], now));
+            out.resize(self.cfg.page_size, 0);
+            return Ok(now);
         }
         let idx = self.cfg.page_index(ppa);
         let data = self
             .data
             .get(idx)
-            .and_then(|slot| slot.clone())
+            .and_then(Option::as_ref)
             .ok_or(NandError::ReadUnwritten(ppa))?;
+        out.extend_from_slice(data);
         self.stats.reads += 1;
         let die = self.cfg.die_index(ppa);
         let start = self.die_busy_until[die].max(now);
@@ -405,7 +427,7 @@ impl NandArray {
             }
         }
         self.trace_op("read", ppa, start, done);
-        Ok((data, done))
+        Ok(done)
     }
 
     /// Erases a block, returning the completion instant.
@@ -588,6 +610,52 @@ mod tests {
             n.read(ppa(0, 0, 1, 3), Nanos::ZERO).unwrap_err(),
             NandError::ReadUnwritten(ppa(0, 0, 1, 3))
         );
+    }
+
+    #[test]
+    fn read_into_a_dirty_reused_buffer_matches_read() {
+        // Two arrays in lockstep: one read through `read`, one through
+        // `read_into` with a single stale, oversized buffer reused for every
+        // read. Data, completion instants, errors and stats must agree.
+        for cfg in [NandConfig::small(), NandConfig::disabled()] {
+            let mut a = NandArray::new(cfg.clone());
+            let mut b = NandArray::new(cfg);
+            let data: Vec<u8> = (0..4096).map(|x| (x * 7) as u8).collect();
+            for n in [&mut a, &mut b] {
+                n.program(ppa(0, 0, 0, 0), &data, Nanos::ZERO).unwrap();
+                n.program(ppa(2, 1, 3, 5), &vec![0x5A; 4096], Nanos::ZERO)
+                    .unwrap();
+            }
+            let mut buf = vec![0xEE; 9000];
+            let mut now = Nanos::from_us(1);
+            for target in [
+                ppa(0, 0, 0, 0),
+                ppa(1, 1, 1, 1),
+                ppa(2, 1, 3, 5),
+                ppa(0, 0, 0, 0),
+            ] {
+                let want = a.read(target, now);
+                let got = b.read_into(target, now, &mut buf);
+                match want {
+                    Ok((data, done)) => {
+                        assert_eq!(got, Ok(done), "{target}");
+                        assert_eq!(buf, data, "{target}");
+                        now = done;
+                    }
+                    Err(e) => assert_eq!(got, Err(e), "{target}"),
+                }
+                buf.resize(9000, 0xEE);
+            }
+            assert_eq!(a.stats(), b.stats());
+        }
+        // Disabled NAND reads return a zeroed page even into a dirty buffer.
+        let mut off = NandArray::new(NandConfig::disabled());
+        let mut buf = vec![0xEE; 100];
+        assert_eq!(
+            off.read_into(ppa(1, 1, 1, 1), Nanos::ZERO, &mut buf),
+            Ok(Nanos::ZERO)
+        );
+        assert_eq!(buf, vec![0; 4096]);
     }
 
     #[test]
