@@ -7,8 +7,8 @@
 //! on), evaluates the predicate per row, and stages matching rows in a DRAM
 //! result workspace that the host drains with a read-result command.
 
-use crate::eval::{eval, UnknownColumn};
-use crate::row::Row;
+use crate::eval::{Compiled, UnknownColumn};
+use crate::row::{Cell, Row};
 use crate::schema::{Cursor, Schema};
 use crate::sql::{parse_predicate, parse_query};
 use bx_hostsim::{Nanos, PAGE_SIZE};
@@ -69,7 +69,6 @@ struct TableState {
     /// Rows not yet filling a whole page (device-DRAM staging).
     staging: Vec<u8>,
     staging_rows: u32,
-    row_count: u64,
 }
 
 /// Maximum result-workspace size.
@@ -85,7 +84,9 @@ pub struct CsdFirmware {
     /// DRAM result workspace.
     result_off: usize,
     result_len: usize,
-    result_matches: u32,
+    /// The last task's `[count u32][rows…]`, staged here and written to the
+    /// workspace once; reused across tasks.
+    result_buf: Vec<u8>,
     /// NAND-off mode page log in DRAM.
     dram_log_off: usize,
     dram_log_pages: usize,
@@ -122,7 +123,7 @@ impl CsdFirmware {
             next_lpn: 0,
             result_off: result.offset,
             result_len: 0,
-            result_matches: 0,
+            result_buf: Vec::new(),
             dram_log_off: log.offset,
             dram_log_pages: log_pages,
             stats,
@@ -152,7 +153,6 @@ impl CsdFirmware {
                 pages: Vec::new(),
                 staging: Vec::new(),
                 staging_rows: 0,
-                row_count: 0,
             },
         );
         CommandOutcome::ok(now)
@@ -165,21 +165,24 @@ impl CsdFirmware {
             bytes: payload,
             pos: 0,
         };
-        let Some(table) = cur.take_string() else {
+        let Some(table) = cur.take_str() else {
             return CommandOutcome::fail(Status::CsdBadTask, now);
         };
         let Some(count) = cur.take_u32() else {
             return CommandOutcome::fail(Status::CsdBadTask, now);
         };
-        let Some(state) = self.tables.get_mut(&table) else {
+        let Some(state) = self.tables.get_mut(table) else {
             return CommandOutcome::fail(Status::CsdBadTask, now);
         };
+        let mut cells = vec![Cell::Int(0); state.schema.columns.len()];
         for _ in 0..count {
-            let Some(row) = Row::decode_from(&mut cur, &state.schema) else {
+            // Validate the row, then stage its bytes as sent: the codec is
+            // canonical, so they are its re-encoding.
+            let start = cur.pos;
+            if Row::decode_cells(&mut cur, &state.schema, &mut cells).is_none() {
                 return CommandOutcome::fail(Status::CsdBadTask, now);
-            };
-            let mut encoded = Vec::with_capacity(row.encoded_len());
-            row.encode_into(&mut encoded);
+            }
+            let encoded = &payload[start..cur.pos];
             if encoded.len() > PAGE_SIZE - 4 {
                 return CommandOutcome::fail(Status::KvInvalidSize, now);
             }
@@ -198,9 +201,8 @@ impl CsdFirmware {
                     Err(s) => return CommandOutcome::fail(s, now),
                 }
             }
-            state.staging.extend_from_slice(&encoded);
+            state.staging.extend_from_slice(encoded);
             state.staging_rows += 1;
-            state.row_count += 1;
         }
         self.stats.borrow_mut().rows_loaded += count as u64;
         CommandOutcome::ok(now)
@@ -213,7 +215,7 @@ impl CsdFirmware {
         mode: u32,
         payload: &[u8],
     ) -> CommandOutcome {
-        let mut now = ctx.now + self.timing.parse_per_byte * payload.len() as u64;
+        let now = ctx.now + self.timing.parse_per_byte * payload.len() as u64;
         self.stats.borrow_mut().task_bytes_in += payload.len() as u64;
 
         let Ok(text) = std::str::from_utf8(payload) else {
@@ -263,109 +265,70 @@ impl CsdFirmware {
 
         // Reset the result workspace before borrowing the table state.
         self.result_len = 0;
-        self.result_matches = 0;
 
         let Some(state) = self.tables.get(&table_name) else {
             return CommandOutcome::fail(Status::CsdBadTask, now);
         };
-        let mut scanned = 0u64;
-        let mut result = Vec::new();
-        let mut status = Status::Success;
-
-        let mut scan_page = |page: &[u8],
-                             rows: u32,
-                             now: &mut Nanos,
-                             result: &mut Vec<u8>,
-                             matches: &mut u32|
-         -> Status {
-            let mut cur = Cursor {
-                bytes: page,
-                pos: 0,
-            };
-            for _ in 0..rows {
-                let Some(row) = Row::decode_from(&mut cur, &state.schema) else {
-                    return Status::InternalError;
-                };
-                *now += self.timing.row_eval;
-                scanned += 1;
-                match predicate
-                    .as_ref()
-                    .map(|p| eval(p, &state.schema, &row, policy))
-                    .unwrap_or(Ok(true))
-                {
-                    Ok(true) => {
-                        let before = result.len();
-                        row.encode_into(result);
-                        if 4 + result.len() > RESULT_CAPACITY {
-                            result.truncate(before);
-                            return Status::CapacityExceeded;
-                        }
-                        *now += self.timing.result_per_byte * (result.len() - before) as u64;
-                        *matches += 1;
-                    }
-                    Ok(false) => {}
-                    Err(_) => return Status::CsdBadTask,
-                }
-            }
-            Status::Success
+        let filter = Compiled::new(predicate.as_ref(), &state.schema, policy);
+        self.result_buf.clear();
+        self.result_buf.extend_from_slice(&0u32.to_le_bytes());
+        let mut scan = Scan {
+            filter: &filter,
+            schema: &state.schema,
+            timing: &self.timing,
+            now,
+            scanned: 0,
+            matches: 0,
+            out: &mut self.result_buf,
         };
-
-        let mut matches = 0u32;
+        // Rows borrowed from device DRAM and the staging buffer share one
+        // cell buffer; a NAND page arrives as a fresh `Vec` and gets its own.
+        let mut cells = vec![Cell::Int(0); state.schema.columns.len()];
+        let mut status = Status::Success;
         for &(lpn, rows) in &state.pages {
-            let page: Vec<u8> = if self.nand_io {
-                match ctx.ftl.read(lpn, ctx.nand, now) {
-                    Ok((p, t)) => {
-                        now = t;
-                        p
+            // Each page body follows its row-count header.
+            status = if self.nand_io {
+                match ctx.ftl.read(lpn, ctx.nand, scan.now) {
+                    Ok((page, t)) => {
+                        scan.now = t;
+                        let mut page_cells = vec![Cell::Int(0); cells.len()];
+                        scan.rows(&page[4..], rows, &mut page_cells)
                     }
-                    Err(_) => {
-                        status = Status::InternalError;
-                        break;
-                    }
+                    Err(_) => Status::InternalError,
                 }
             } else {
                 match ctx
                     .dram
                     .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
                 {
-                    Ok(p) => p.to_vec(),
-                    Err(_) => {
-                        status = Status::InternalError;
-                        break;
-                    }
+                    Ok(page) => scan.rows(&page[4..], rows, &mut cells),
+                    Err(_) => Status::InternalError,
                 }
             };
-            // Skip the per-page row-count header.
-            let s = scan_page(&page[4..], rows, &mut now, &mut result, &mut matches);
-            if s != Status::Success {
-                status = s;
+            if status != Status::Success {
                 break;
             }
         }
         if status == Status::Success && state.staging_rows > 0 {
-            let staging = state.staging.clone();
-            status = scan_page(
-                &staging,
-                state.staging_rows,
-                &mut now,
-                &mut result,
-                &mut matches,
-            );
+            status = scan.rows(&state.staging, state.staging_rows, &mut cells);
         }
+        let Scan {
+            now,
+            scanned,
+            matches,
+            ..
+        } = scan;
 
         if status != Status::Success && status != Status::CapacityExceeded {
             return CommandOutcome::fail(status, now);
         }
 
-        // Stage `[count u32][rows…]` in the result workspace.
-        let mut workspace = Vec::with_capacity(4 + result.len());
-        workspace.extend_from_slice(&matches.to_le_bytes());
-        workspace.extend_from_slice(&result);
-        if ctx.dram.write(self.result_off, &workspace).is_err() {
+        // Patch the count and stage `[count u32][rows…]` in the workspace.
+        self.result_buf[..4].copy_from_slice(&matches.to_le_bytes());
+        if ctx.dram.write(self.result_off, &self.result_buf).is_err() {
             return CommandOutcome::fail(Status::InternalError, now);
         }
-        self.result_len = workspace.len();
-        self.result_matches = matches;
+        self.result_len = self.result_buf.len();
 
         let mut stats = self.stats.borrow_mut();
         stats.tasks_executed += 1;
@@ -392,6 +355,52 @@ impl CsdFirmware {
             response: Some(data),
             complete_at: ctx.now + self.timing.result_per_byte * take as u64,
         }
+    }
+}
+
+/// One task's scan: the compiled filter, running virtual time and counters,
+/// and the result bytes staged so far.
+struct Scan<'t> {
+    filter: &'t Compiled,
+    schema: &'t Schema,
+    timing: &'t CsdTiming,
+    now: Nanos,
+    scanned: u64,
+    matches: u32,
+    /// `[count u32][matching rows…]`; the count is patched after the scan.
+    out: &'t mut Vec<u8>,
+}
+
+impl Scan<'_> {
+    /// Filters the `rows` encoded rows at the start of `page` in place,
+    /// appending each match's own encoded bytes to the result.
+    fn rows<'p>(&mut self, page: &'p [u8], rows: u32, cells: &mut [Cell<'p>]) -> Status {
+        let mut cur = Cursor {
+            bytes: page,
+            pos: 0,
+        };
+        for _ in 0..rows {
+            let start = cur.pos;
+            if Row::decode_cells(&mut cur, self.schema, cells).is_none() {
+                return Status::InternalError;
+            }
+            self.now += self.timing.row_eval;
+            self.scanned += 1;
+            match self.filter.matches(cells) {
+                Some(true) => {
+                    let row = &page[start..cur.pos];
+                    if self.out.len() + row.len() > RESULT_CAPACITY {
+                        return Status::CapacityExceeded;
+                    }
+                    self.out.extend_from_slice(row);
+                    self.now += self.timing.result_per_byte * row.len() as u64;
+                    self.matches += 1;
+                }
+                Some(false) => {}
+                None => return Status::CsdBadTask,
+            }
+        }
+        Status::Success
     }
 }
 
@@ -635,6 +644,38 @@ mod tests {
             out.complete_at
         );
         assert!(r.nand.stats().reads > 0);
+    }
+
+    #[test]
+    fn result_capacity_cuts_before_the_overflowing_row() {
+        let mut r = rig(false);
+        let schema = Schema::new("blobs", vec![Column::new("body", ColumnType::Str)]);
+        let out = call(
+            &mut r,
+            &SubmissionEntry::io(IoOpcode::CsdCreateTable, 1, 1),
+            Some(&schema.encode()),
+        );
+        assert!(out.status.is_success());
+        // One 4,002-byte row per page; 262 of them fit after the count.
+        let rows: Vec<Row> = (0..300)
+            .map(|_| Row::new(vec![Value::Str("b".repeat(4000))]))
+            .collect();
+        let mut payload = (b"blobs".len() as u16).to_le_bytes().to_vec();
+        payload.extend_from_slice(b"blobs");
+        payload.extend_from_slice(&Row::encode_batch(&rows));
+        let out = call(
+            &mut r,
+            &SubmissionEntry::io(IoOpcode::CsdLoadRows, 1, 1),
+            Some(&payload),
+        );
+        assert!(out.status.is_success());
+
+        let out = exec(&mut r, TASK_MODE_SEGMENT, b"blobs\0body > 'b'");
+        assert_eq!(out.status, Status::CapacityExceeded);
+        assert_eq!(out.result, 262);
+        let data = read_result(&mut r, RESULT_CAPACITY);
+        assert_eq!(data.len(), 4 + 262 * 4002);
+        assert_eq!(data[..4], 262u32.to_le_bytes());
     }
 
     #[test]

@@ -44,6 +44,44 @@ impl fmt::Display for Value {
     }
 }
 
+/// A decoded cell that borrows its string from the encoded row, so scanning
+/// a page builds no `Row` and allocates nothing per row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cell<'a> {
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+}
+
+impl Cell<'_> {
+    /// The same numeric view as [`Value::as_f64`].
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::Int(i) => Some(i as f64),
+            Cell::Float(f) => Some(f),
+            Cell::Str(_) => None,
+        }
+    }
+
+    fn decode<'a>(cur: &mut Cursor<'a>, ty: ColumnType) -> Option<Cell<'a>> {
+        Some(match ty {
+            ColumnType::Int => Cell::Int(cur.take_u64()? as i64),
+            ColumnType::Float => Cell::Float(f64::from_bits(cur.take_u64()?)),
+            ColumnType::Str => Cell::Str(cur.take_str()?),
+        })
+    }
+}
+
+impl From<Cell<'_>> for Value {
+    fn from(c: Cell<'_>) -> Value {
+        match c {
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
 /// One table row: values in schema column order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -57,14 +95,14 @@ impl Row {
         Row { values }
     }
 
-    /// Validates the row against a schema (arity + per-column types).
+    /// Validates the row against a schema (arity + per-column types) and
+    /// the codec: a string must fit its `u16` length prefix.
     pub fn matches_schema(&self, schema: &Schema) -> bool {
         self.values.len() == schema.columns.len()
-            && self
-                .values
-                .iter()
-                .zip(&schema.columns)
-                .all(|(v, c)| v.column_type() == c.ty)
+            && self.values.iter().zip(&schema.columns).all(|(v, c)| {
+                v.column_type() == c.ty
+                    && !matches!(v, Value::Str(s) if s.len() > u16::MAX as usize)
+            })
     }
 
     /// Appends the row's encoding: ints/floats as 8 LE bytes, strings as
@@ -93,16 +131,28 @@ impl Row {
             .sum()
     }
 
-    /// Decodes one row per `schema` from the cursor position.
-    pub(crate) fn decode_from(cur: &mut Cursor<'_>, schema: &Schema) -> Option<Row> {
-        let mut values = Vec::with_capacity(schema.columns.len());
-        for c in &schema.columns {
-            values.push(match c.ty {
-                ColumnType::Int => Value::Int(cur.take_u64()? as i64),
-                ColumnType::Float => Value::Float(f64::from_bits(cur.take_u64()?)),
-                ColumnType::Str => Value::Str(cur.take_string()?),
-            });
+    /// Decodes one row per `schema` from the cursor position into `cells`
+    /// (one per column), with every bounds and UTF-8 check of the owned
+    /// decode. `None` leaves `cells` partly written.
+    pub(crate) fn decode_cells<'a>(
+        cur: &mut Cursor<'a>,
+        schema: &Schema,
+        cells: &mut [Cell<'a>],
+    ) -> Option<()> {
+        debug_assert_eq!(cells.len(), schema.columns.len());
+        for (cell, c) in cells.iter_mut().zip(&schema.columns) {
+            *cell = Cell::decode(cur, c.ty)?;
         }
+        Some(())
+    }
+
+    /// Decodes one owned row per `schema` from the cursor position.
+    fn decode_from(cur: &mut Cursor<'_>, schema: &Schema) -> Option<Row> {
+        let values = schema
+            .columns
+            .iter()
+            .map(|c| Cell::decode(cur, c.ty).map(Value::from))
+            .collect::<Option<_>>()?;
         Some(Row { values })
     }
 
@@ -194,6 +244,59 @@ mod tests {
             Row::decode_batch(&encoded[..encoded.len() - 1], &schema()),
             None
         );
+    }
+
+    #[test]
+    fn string_longer_than_its_length_prefix_is_rejected() {
+        let s = schema();
+        assert!(!row(1, 1.0, &"x".repeat(65_546)).matches_schema(&s));
+        assert!(row(1, 1.0, &"x".repeat(u16::MAX as usize)).matches_schema(&s));
+    }
+
+    #[test]
+    fn longest_encodable_string_round_trips() {
+        let rows = vec![row(1, 1.0, &("é".repeat(u16::MAX as usize / 2) + "x"))];
+        assert_eq!(rows[0].encoded_len(), 8 + 8 + 2 + u16::MAX as usize);
+        let encoded = Row::encode_batch(&rows);
+        assert_eq!(Row::decode_batch(&encoded, &schema()), Some(rows));
+    }
+
+    #[test]
+    fn decode_cells_borrows_what_decode_batch_owns() {
+        let rows = vec![row(-3, f64::NAN, "ünï"), row(7, -0.0, "")];
+        let encoded = Row::encode_batch(&rows);
+        let s = schema();
+        let mut cur = Cursor {
+            bytes: &encoded,
+            pos: 4,
+        };
+        let mut cells = [Cell::Int(0); 3];
+        for r in &rows {
+            let start = cur.pos;
+            Row::decode_cells(&mut cur, &s, &mut cells).unwrap();
+            let mut own = Vec::new();
+            r.encode_into(&mut own);
+            assert_eq!(&encoded[start..cur.pos], &own[..], "canonical codec");
+            let values: Vec<Value> = cells.iter().map(|&c| c.into()).collect();
+            assert_eq!(format!("{values:?}"), format!("{:?}", r.values));
+        }
+        assert_eq!(cur.pos, encoded.len());
+        // Truncation and invalid UTF-8 fail exactly as the owned decode does.
+        let mut cut = Cursor {
+            bytes: &encoded[..encoded.len() - 1],
+            pos: 4,
+        };
+        assert!(Row::decode_cells(&mut cut, &s, &mut cells).is_some());
+        assert!(Row::decode_cells(&mut cut, &s, &mut cells).is_none());
+        let mut bad = Row::encode_batch(&[row(1, 1.0, "ab")]);
+        let last = bad.len() - 1;
+        bad[last] = 0xFF;
+        let mut bad_cur = Cursor {
+            bytes: &bad,
+            pos: 4,
+        };
+        assert!(Row::decode_cells(&mut bad_cur, &s, &mut cells).is_none());
+        assert_eq!(Row::decode_batch(&bad, &s), None);
     }
 
     #[test]

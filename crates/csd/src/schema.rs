@@ -80,17 +80,22 @@ impl Schema {
     ///
     /// # Panics
     ///
-    /// Panics on empty column lists or duplicate column names.
+    /// Panics on empty column lists, duplicate column names, or a table or
+    /// column name longer than the `u16` length prefix it is encoded with.
     pub fn new(table: impl Into<String>, columns: Vec<Column>) -> Self {
+        let table = table.into();
         assert!(!columns.is_empty(), "schema needs at least one column");
+        assert!(
+            std::iter::once(&table)
+                .chain(columns.iter().map(|c| &c.name))
+                .all(|n| n.len() <= u16::MAX as usize),
+            "table and column names must fit a u16 length"
+        );
         let mut names: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), columns.len(), "duplicate column names");
-        Schema {
-            table: table.into(),
-            columns,
-        }
+        Schema { table, columns }
     }
 
     /// Index of a column by name.
@@ -174,15 +179,14 @@ impl<'a> Cursor<'a> {
         Some(b)
     }
 
-    pub fn take_string(&mut self) -> Option<String> {
+    /// A `[len u16][utf-8 bytes]` string, borrowed from the input.
+    pub fn take_str(&mut self) -> Option<&'a str> {
         let len = self.take_u16()? as usize;
-        let b = self.take_bytes(len)?;
-        String::from_utf8(b.to_vec()).ok()
+        std::str::from_utf8(self.take_bytes(len)?).ok()
     }
 
-    #[allow(dead_code)]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+    pub fn take_string(&mut self) -> Option<String> {
+        self.take_str().map(str::to_owned)
     }
 }
 
@@ -231,6 +235,18 @@ mod tests {
                 Column::new("a", ColumnType::Float),
             ],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "fit a u16 length")]
+    fn oversized_column_name_panics() {
+        let _ = Schema::new("t", vec![Column::new("c".repeat(1 << 16), ColumnType::Int)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit a u16 length")]
+    fn oversized_table_name_panics() {
+        let _ = Schema::new("t".repeat(1 << 16), vec![Column::new("a", ColumnType::Int)]);
     }
 
     #[test]

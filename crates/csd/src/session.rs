@@ -368,4 +368,18 @@ mod tests {
             CsdError::RowSchemaMismatch
         );
     }
+
+    #[test]
+    fn string_past_its_length_prefix_rejected_host_side() {
+        // 65,546 bytes would encode with length prefix 10 and load garbage.
+        let mut s = CsdSession::open(CsdConfig::default());
+        let schema = Schema::new("notes", vec![Column::new("body", ColumnType::Str)]);
+        s.create_table(&schema).unwrap();
+        let long = vec![Row::new(vec![Value::Str("x".repeat(65_546))])];
+        assert_eq!(
+            s.load_rows(&schema, &long).unwrap_err(),
+            CsdError::RowSchemaMismatch
+        );
+        assert_eq!(s.device_stats().rows_loaded, 0);
+    }
 }

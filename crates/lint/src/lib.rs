@@ -220,10 +220,11 @@ impl Config {
             wire_crate_src: "crates/nvme/src".into(),
             trace_event_file: "crates/trace/src/event.rs".into(),
             trace_export_file: "crates/trace/src/export.rs".into(),
-            // tests/alloc_free.rs: the counting global allocator needs
-            // `unsafe impl GlobalAlloc` (pure delegation to System plus a
-            // relaxed atomic counter — no pointer arithmetic of its own).
-            unsafe_allowlist: s(&["tests/alloc_free.rs"]),
+            // tests/alloc_free.rs and crates/csd/tests/scan_alloc.rs: each
+            // counting global allocator needs `unsafe impl GlobalAlloc`
+            // (pure delegation to System plus a relaxed atomic counter — no
+            // pointer arithmetic of its own).
+            unsafe_allowlist: s(&["tests/alloc_free.rs", "crates/csd/tests/scan_alloc.rs"]),
         }
     }
 }
