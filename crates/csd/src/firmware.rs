@@ -87,6 +87,9 @@ pub struct CsdFirmware {
     /// The last task's `[count u32][rows…]`, staged here and written to the
     /// workspace once; reused across tasks.
     result_buf: Vec<u8>,
+    /// NAND-on mode: each scanned log page is read into this buffer, reused
+    /// across pages and tasks.
+    page_buf: Vec<u8>,
     /// NAND-off mode page log in DRAM.
     dram_log_off: usize,
     dram_log_pages: usize,
@@ -124,6 +127,7 @@ impl CsdFirmware {
             result_off: result.offset,
             result_len: 0,
             result_buf: Vec::new(),
+            page_buf: Vec::new(),
             dram_log_off: log.offset,
             dram_log_pages: log_pages,
             stats,
@@ -282,17 +286,21 @@ impl CsdFirmware {
             out: &mut self.result_buf,
         };
         // Rows borrowed from device DRAM and the staging buffer share one
-        // cell buffer; a NAND page arrives as a fresh `Vec` and gets its own.
+        // cell buffer; a NAND page is re-read into `page_buf` each time, so
+        // its cells get a buffer of their own.
         let mut cells = vec![Cell::Int(0); state.schema.columns.len()];
         let mut status = Status::Success;
         for &(lpn, rows) in &state.pages {
             // Each page body follows its row-count header.
             status = if self.nand_io {
-                match ctx.ftl.read(lpn, ctx.nand, scan.now) {
-                    Ok((page, t)) => {
+                match ctx
+                    .ftl
+                    .read_into(lpn, ctx.nand, scan.now, &mut self.page_buf)
+                {
+                    Ok(t) => {
                         scan.now = t;
                         let mut page_cells = vec![Cell::Int(0); cells.len()];
-                        scan.rows(&page[4..], rows, &mut page_cells)
+                        scan.rows(&self.page_buf[4..], rows, &mut page_cells)
                     }
                     Err(_) => Status::InternalError,
                 }

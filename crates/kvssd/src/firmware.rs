@@ -2,10 +2,15 @@
 //!
 //! A log-structured value store: PUTs append `[key(16) | len(2)]` headers +
 //! value bytes into a DRAM staging page; full pages flush to NAND through
-//! the FTL (when NAND I/O is enabled). The key index lives in device DRAM
-//! (a `BTreeMap`, deterministic iteration for the iterator command) and can
-//! be rebuilt from the on-media headers after a simulated power cycle
-//! ([`KvFirmware::recover_index`] exercised via the `KvRecover` test hook).
+//! the FTL (when NAND I/O is enabled). A DELETE appends a tombstone header
+//! (`len = u16::MAX`) so recovery cannot resurrect the key. The key index
+//! lives in device DRAM: an ordered map from the big-endian `u128` of the
+//! padded key (byte-lexicographic order, for the iterator command) to the
+//! value's log page and offset. The page being filled is the DRAM staging
+//! page, so a flush only advances the log frontier and re-indexes nothing.
+//! The index can be rebuilt from the on-media headers after a simulated
+//! power cycle ([`KvFirmware::recover_index`] exercised via the `KvRecover`
+//! test hook).
 
 use bx_hostsim::{Nanos, PAGE_SIZE};
 use bx_nvme::{IoOpcode, Status, SubmissionEntry};
@@ -22,6 +27,10 @@ pub const MAX_VALUE_LEN: usize = PAGE_SIZE - ENTRY_HEADER;
 
 /// Per-entry on-media header: 16-byte padded key + 2-byte value length.
 const ENTRY_HEADER: usize = MAX_KEY_LEN + 2;
+
+/// The length field of a DELETE's tombstone entry (no value bytes follow).
+/// No value can have it: [`MAX_VALUE_LEN`] is far below.
+const TOMBSTONE: u16 = u16::MAX;
 
 /// A key padded to the fixed wire width.
 pub type PaddedKey = [u8; MAX_KEY_LEN];
@@ -55,12 +64,14 @@ pub fn key_into_cdws(key: &PaddedKey, cdw10_15: &mut [u32; 6]) {
     }
 }
 
+/// Where a value lives: bytes `off..off + len` of log page `lpn`. The page
+/// is still the DRAM staging page exactly when `lpn` is the firmware's
+/// `next_lpn`, the page the staging buffer will be flushed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ValueLoc {
-    /// Still in the DRAM staging page.
-    Staged { off: usize, len: usize },
-    /// Flushed to NAND at `lpn`, byte offset `off` within the page.
-    Flushed { lpn: u64, off: usize, len: usize },
+struct ValueLoc {
+    lpn: u64,
+    off: u16,
+    len: u16,
 }
 
 /// Device-side operation counters, shared with the host store handle.
@@ -85,7 +96,7 @@ pub struct KvDeviceStats {
 pub struct KvTiming {
     /// Index lookup/insert cost.
     pub index_op: Nanos,
-    /// Appending a value into the staging page.
+    /// Appending an entry (a value or a tombstone) into the staging page.
     pub log_append: Nanos,
     /// Reading a staged value from device DRAM.
     pub dram_read: Nanos,
@@ -105,22 +116,26 @@ impl Default for KvTiming {
 #[derive(Debug)]
 pub struct KvFirmware {
     nand_io: bool,
-    /// Write-through durability: every PUT re-programs the partial staging
-    /// page to NAND before acking, so acked values survive a power cut.
+    /// Write-through durability: every PUT and DELETE re-programs the
+    /// partial staging page to NAND before acking, so acked updates survive
+    /// a power cut.
     durable_puts: bool,
     timing: KvTiming,
-    index: BTreeMap<PaddedKey, ValueLoc>,
+    /// Keyed by `u128::from_be_bytes(padded key)`: integer order is the
+    /// keys' byte-lexicographic order.
+    index: BTreeMap<u128, ValueLoc>,
     /// Staging page region in device DRAM.
     staging_off: usize,
     staging_used: usize,
-    /// Keys whose values sit in the current staging page.
-    staged_keys: Vec<PaddedKey>,
-    /// Next log LPN to flush into.
+    /// Next log LPN to flush into; entries tagged with it are still staged.
     next_lpn: u64,
     /// With NAND off, flushed pages are retained in a DRAM log region
     /// instead (pure-transfer benchmarking still gets correct GETs).
     dram_log_off: usize,
     dram_log_pages: usize,
+    /// Scratch page reused across commands: NAND page reads, and the
+    /// staging page's copy into the DRAM log.
+    page_buf: Vec<u8>,
     stats: Rc<RefCell<KvDeviceStats>>,
 }
 
@@ -157,10 +172,10 @@ impl KvFirmware {
             index: BTreeMap::new(),
             staging_off: staging.offset,
             staging_used: 0,
-            staged_keys: Vec::new(),
             next_lpn: 0,
             dram_log_off: log.offset,
             dram_log_pages: log_pages,
+            page_buf: Vec::new(),
             stats,
         }
     }
@@ -170,14 +185,34 @@ impl KvFirmware {
         Rc::clone(&self.stats)
     }
 
-    /// Enables write-through durable PUTs: before a PUT is acknowledged the
-    /// partial staging page is re-programmed to the current log LPN, so the
-    /// ack implies durability (the durable-linearizability contract). Costs
-    /// a NAND program per PUT — the price the default volatile-staging mode
+    /// Enables write-through durable PUTs: before a PUT or DELETE is
+    /// acknowledged the partial staging page is re-programmed to the current
+    /// log LPN, so the ack implies durability (the durable-linearizability
+    /// contract). Costs a NAND program per update — the price the default volatile-staging mode
     /// avoids. Requires `nand_io`; meaningless (and ignored) without it,
     /// since the DRAM log is itself volatile.
     pub fn set_durable_puts(&mut self, on: bool) {
         self.durable_puts = on;
+    }
+
+    /// Device-DRAM offset of NAND-off log page `lpn`.
+    fn dram_log_page(&self, lpn: u64) -> usize {
+        self.dram_log_off + lpn as usize * PAGE_SIZE
+    }
+
+    /// Programs the staging page to log page `next_lpn` through the FTL.
+    /// Returns the completion instant.
+    fn program_staging(&self, ctx: &mut FirmwareCtx<'_>, now: Nanos) -> Result<Nanos, Status> {
+        if self.next_lpn >= ctx.ftl.capacity_pages() {
+            return Err(Status::CapacityExceeded);
+        }
+        let page = ctx
+            .dram
+            .read(self.staging_off, PAGE_SIZE)
+            .map_err(|_| Status::InternalError)?;
+        ctx.ftl
+            .write(self.next_lpn, page, ctx.nand, now)
+            .map_err(|_| Status::InternalError)
     }
 
     /// Flushes the staging page. Returns the completion instant.
@@ -185,34 +220,26 @@ impl KvFirmware {
         if self.staging_used == 0 {
             return Ok(now);
         }
-        let lpn = self.next_lpn;
-        let page = ctx
-            .dram
-            .read(self.staging_off, PAGE_SIZE)
-            .map_err(|_| Status::InternalError)?
-            .to_vec();
         let done = if self.nand_io {
-            if lpn >= ctx.ftl.capacity_pages() {
-                return Err(Status::CapacityExceeded);
-            }
-            ctx.ftl
-                .write(lpn, &page, ctx.nand, now)
-                .map_err(|_| Status::InternalError)?
+            self.program_staging(ctx, now)?
         } else {
-            if (lpn as usize) >= self.dram_log_pages {
+            if (self.next_lpn as usize) >= self.dram_log_pages {
                 return Err(Status::CapacityExceeded);
             }
+            let page = ctx
+                .dram
+                .read(self.staging_off, PAGE_SIZE)
+                .map_err(|_| Status::InternalError)?;
+            self.page_buf.clear();
+            self.page_buf.extend_from_slice(page);
             ctx.dram
-                .write(self.dram_log_off + lpn as usize * PAGE_SIZE, &page)
+                .write(self.dram_log_page(self.next_lpn), &self.page_buf)
                 .map_err(|_| Status::InternalError)?;
             now + self.timing.log_append
         };
+        // Every staged entry is tagged with this LPN, so advancing the
+        // frontier moves them all out of staging at once.
         self.next_lpn += 1;
-        for key in self.staged_keys.drain(..) {
-            if let Some(ValueLoc::Staged { off, len }) = self.index.get(&key).copied() {
-                self.index.insert(key, ValueLoc::Flushed { lpn, off, len });
-            }
-        }
         self.staging_used = 0;
         // Zero the staging page so recovery never replays stale entry
         // headers left over from the previous fill.
@@ -223,92 +250,96 @@ impl KvFirmware {
         Ok(done)
     }
 
-    fn put(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey, value: &[u8]) -> CommandOutcome {
-        let mut now = ctx.now + self.timing.index_op + self.timing.log_append;
-        if value.len() > MAX_VALUE_LEN {
-            return CommandOutcome::fail(Status::KvInvalidSize, now);
-        }
-        let entry = ENTRY_HEADER + value.len();
+    /// Appends `key`'s log entry (`value`, or a tombstone for `None`) to the
+    /// staging page, flushing the page first if the entry does not fit, and
+    /// applies it to the index. Advances `now` to each step's completion,
+    /// so on error it holds the instant the failing step started.
+    ///
+    /// Write-through durability: with `durable_puts` the partial staging
+    /// page then lands at the current log LPN before the ack. The FTL
+    /// journals the remap and the ack waits for `max(program done, record
+    /// durable)`, so a later power cut can at worst fall back to the
+    /// previous write-through of the same LPN — exactly the last acked
+    /// state.
+    fn log_entry(
+        &mut self,
+        ctx: &mut FirmwareCtx<'_>,
+        key: u128,
+        value: Option<&[u8]>,
+        now: &mut Nanos,
+    ) -> Result<(), Status> {
+        let body = value.unwrap_or_default();
+        let entry = ENTRY_HEADER + body.len();
         if self.staging_used + entry > PAGE_SIZE {
-            match self.flush_staging(ctx, now) {
-                Ok(t) => now = t,
-                Err(s) => return CommandOutcome::fail(s, now),
-            }
+            *now = self.flush_staging(ctx, *now)?;
         }
         // On-media entry header enables index recovery after power cycles.
         let off = self.staging_used;
+        let len = value.map_or(TOMBSTONE, |v| v.len() as u16);
         let mut header = [0u8; ENTRY_HEADER];
-        header[..MAX_KEY_LEN].copy_from_slice(&key);
-        header[MAX_KEY_LEN..].copy_from_slice(&(value.len() as u16).to_le_bytes());
-        if ctx.dram.write(self.staging_off + off, &header).is_err()
-            || ctx
-                .dram
-                .write(self.staging_off + off + ENTRY_HEADER, value)
-                .is_err()
-        {
-            return CommandOutcome::fail(Status::InternalError, now);
-        }
+        header[..MAX_KEY_LEN].copy_from_slice(&key.to_be_bytes());
+        header[MAX_KEY_LEN..].copy_from_slice(&len.to_le_bytes());
+        ctx.dram
+            .write(self.staging_off + off, &header)
+            .and_then(|()| ctx.dram.write(self.staging_off + off + ENTRY_HEADER, body))
+            .map_err(|_| Status::InternalError)?;
         self.staging_used += entry;
-        self.index.insert(
-            key,
-            ValueLoc::Staged {
-                off: off + ENTRY_HEADER,
-                len: value.len(),
-            },
-        );
-        self.staged_keys.push(key);
-        // Write-through durability: land the partial staging page at the
-        // current log LPN before acking. The FTL journals the remap and the
-        // ack waits for `max(program done, record durable)`, so a later
-        // power cut can at worst fall back to the previous write-through of
-        // the same LPN — exactly the last acked state.
-        if self.durable_puts && self.nand_io {
-            if self.next_lpn >= ctx.ftl.capacity_pages() {
-                return CommandOutcome::fail(Status::CapacityExceeded, now);
-            }
-            let page = match ctx.dram.read(self.staging_off, PAGE_SIZE) {
-                Ok(p) => p.to_vec(),
-                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
+        if value.is_some() {
+            let loc = ValueLoc {
+                lpn: self.next_lpn,
+                off: (off + ENTRY_HEADER) as u16,
+                len,
             };
-            match ctx.ftl.write(self.next_lpn, &page, ctx.nand, now) {
-                Ok(t) => now = t,
-                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-            }
+            self.index.insert(key, loc);
+        } else {
+            self.index.remove(&key);
         }
-        let mut stats = self.stats.borrow_mut();
-        stats.puts += 1;
-        stats.value_bytes_in += value.len() as u64;
-        CommandOutcome::ok(now)
+        if self.durable_puts && self.nand_io {
+            *now = self.program_staging(ctx, *now)?;
+        }
+        Ok(())
     }
 
-    fn get(&mut self, ctx: &mut FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
+    fn put(&mut self, ctx: &mut FirmwareCtx<'_>, key: u128, value: &[u8]) -> CommandOutcome {
+        let mut now = ctx.now + self.timing.index_op + self.timing.log_append;
+        // An empty value under the all-zero key would write an all-zero
+        // header: the end-of-page marker, which recovery stops at.
+        if value.len() > MAX_VALUE_LEN || (key == 0 && value.is_empty()) {
+            return CommandOutcome::fail(Status::KvInvalidSize, now);
+        }
+        match self.log_entry(ctx, key, Some(value), &mut now) {
+            Ok(()) => {
+                let mut stats = self.stats.borrow_mut();
+                stats.puts += 1;
+                stats.value_bytes_in += value.len() as u64;
+                CommandOutcome::ok(now)
+            }
+            Err(s) => CommandOutcome::fail(s, now),
+        }
+    }
+
+    fn get(&mut self, ctx: &mut FirmwareCtx<'_>, key: u128) -> CommandOutcome {
         let now = ctx.now + self.timing.index_op;
         self.stats.borrow_mut().gets += 1;
-        let Some(loc) = self.index.get(&key).copied() else {
+        let Some(&ValueLoc { lpn, off, len }) = self.index.get(&key) else {
             return CommandOutcome::fail(Status::KvKeyNotFound, now);
         };
         self.stats.borrow_mut().hits += 1;
-        let (bytes, done) = match loc {
-            ValueLoc::Staged { off, len } => {
-                let data = match ctx.dram.read(self.staging_off + off, len) {
-                    Ok(d) => d.to_vec(),
-                    Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                };
-                (data, now + self.timing.dram_read)
+        let (off, len) = (usize::from(off), usize::from(len));
+        let (bytes, done) = if lpn != self.next_lpn && self.nand_io {
+            match ctx.ftl.read_into(lpn, ctx.nand, now, &mut self.page_buf) {
+                Ok(t) => (self.page_buf[off..off + len].to_vec(), t),
+                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
             }
-            ValueLoc::Flushed { lpn, off, len } => {
-                if self.nand_io {
-                    match ctx.ftl.read(lpn, ctx.nand, now) {
-                        Ok((page, t)) => (page[off..off + len].to_vec(), t),
-                        Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                    }
-                } else {
-                    let base = self.dram_log_off + lpn as usize * PAGE_SIZE;
-                    match ctx.dram.read(base + off, len) {
-                        Ok(d) => (d.to_vec(), now + self.timing.dram_read),
-                        Err(_) => return CommandOutcome::fail(Status::InternalError, now),
-                    }
-                }
+        } else {
+            let page = if lpn == self.next_lpn {
+                self.staging_off
+            } else {
+                self.dram_log_page(lpn)
+            };
+            match ctx.dram.read(page + off, len) {
+                Ok(d) => (d.to_vec(), now + self.timing.dram_read),
+                Err(_) => return CommandOutcome::fail(Status::InternalError, now),
             }
         };
         CommandOutcome {
@@ -319,13 +350,17 @@ impl KvFirmware {
         }
     }
 
-    fn delete(&mut self, ctx: &FirmwareCtx<'_>, key: PaddedKey) -> CommandOutcome {
+    fn delete(&mut self, ctx: &mut FirmwareCtx<'_>, key: u128) -> CommandOutcome {
         let now = ctx.now + self.timing.index_op;
         self.stats.borrow_mut().deletes += 1;
-        if self.index.remove(&key).is_some() {
-            CommandOutcome::ok(now)
-        } else {
-            CommandOutcome::fail(Status::KvKeyNotFound, now)
+        if !self.index.contains_key(&key) {
+            return CommandOutcome::fail(Status::KvKeyNotFound, now);
+        }
+        // The tombstone keeps the key deleted when recovery replays the log.
+        let mut now = now + self.timing.log_append;
+        match self.log_entry(ctx, key, None, &mut now) {
+            Ok(()) => CommandOutcome::ok(now),
+            Err(s) => CommandOutcome::fail(s, now),
         }
     }
 
@@ -339,27 +374,22 @@ impl KvFirmware {
             return CommandOutcome::fail(Status::InvalidField, now);
         }
         let max_keys = (buf_len - 8) / MAX_KEY_LEN;
-        let keys: Vec<PaddedKey> = self
-            .index
-            .keys()
-            .skip(cursor as usize)
-            .take(max_keys)
-            .copied()
-            .collect();
-        let next = if (cursor as usize + keys.len()) < self.index.len() {
-            cursor + keys.len() as u32
+        let total = self.index.len();
+        let count = total.saturating_sub(cursor as usize).min(max_keys);
+        let next = if (cursor as usize + count) < total {
+            cursor + count as u32
         } else {
             u32::MAX
         };
-        let mut resp = Vec::with_capacity(8 + keys.len() * MAX_KEY_LEN);
-        resp.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+        let mut resp = Vec::with_capacity(8 + count * MAX_KEY_LEN);
+        resp.extend_from_slice(&(count as u32).to_le_bytes());
         resp.extend_from_slice(&next.to_le_bytes());
-        for k in &keys {
-            resp.extend_from_slice(k);
+        for k in self.index.keys().skip(cursor as usize).take(count) {
+            resp.extend_from_slice(&k.to_be_bytes());
         }
         CommandOutcome {
             status: Status::Success,
-            result: keys.len() as u32,
+            result: count as u32,
             response: Some(resp),
             complete_at: now + self.timing.dram_read,
         }
@@ -381,16 +411,17 @@ impl KvFirmware {
             }
             let mut key = [0u8; MAX_KEY_LEN];
             key.copy_from_slice(&batch[off..off + MAX_KEY_LEN]);
+            let key = u128::from_be_bytes(key);
             let vlen = u16::from_le_bytes([batch[off + MAX_KEY_LEN], batch[off + MAX_KEY_LEN + 1]])
                 as usize;
             off += MAX_KEY_LEN + 2;
             if off + vlen > batch.len() {
                 return CommandOutcome::fail(Status::InvalidField, ctx.now);
             }
-            let value = batch[off..off + vlen].to_vec();
+            let value = &batch[off..off + vlen];
             off += vlen;
             ctx.now = last.complete_at;
-            last = self.put(ctx, key, &value);
+            last = self.put(ctx, key, value);
             if !last.status.is_success() {
                 return last;
             }
@@ -403,82 +434,89 @@ impl KvFirmware {
 
     /// Rebuilds the index by scanning entry headers in the persisted log —
     /// a simulated post-power-cycle recovery. Returns the number of entries
-    /// recovered.
+    /// (values and tombstones) replayed.
     ///
     /// `include_staging` distinguishes a graceful restart (device DRAM
     /// intact: the staging page is replayed too) from a crash/power loss
     /// (`false`: only NAND-persisted pages survive; entries still in the
     /// DRAM staging page are honestly lost, matching the durability
-    /// semantics of any volatile write buffer without a capacitor).
+    /// semantics of any volatile write buffer without a capacitor). With
+    /// `durable_puts` the staging page's write-through copy is persisted,
+    /// so after a crash it closes as the last log page and its entries
+    /// survive.
     ///
-    /// Recovery replays entries in log order, so later PUTs win, like any
-    /// log-structured store.
+    /// Recovery replays entries in log order, so later PUTs and DELETEs
+    /// win, like any log-structured store.
     pub fn recover_index(&mut self, ctx: &mut FirmwareCtx<'_>, include_staging: bool) -> usize {
         self.index.clear();
         if !include_staging {
-            // Power loss: the volatile staging page is gone.
+            // Power loss: the volatile staging page is gone. The log is
+            // written strictly sequentially, so the mapped prefix of the FTL
+            // IS the persisted log, write-through page included.
             self.staging_used = 0;
-            self.staged_keys.clear();
             let _ = ctx.dram.write(self.staging_off, &[0u8; PAGE_SIZE]);
+            if self.nand_io {
+                while self.next_lpn < ctx.ftl.capacity_pages() && ctx.ftl.is_mapped(self.next_lpn) {
+                    self.next_lpn += 1;
+                }
+            }
         }
         let mut recovered = 0;
         let mut now = ctx.now;
         for lpn in 0..self.next_lpn {
-            let page: Vec<u8> = if self.nand_io {
-                match ctx.ftl.read(lpn, ctx.nand, now) {
-                    Ok((p, t)) => {
+            let page = if self.nand_io {
+                match ctx.ftl.read_into(lpn, ctx.nand, now, &mut self.page_buf) {
+                    Ok(t) => {
                         now = t;
-                        p
+                        &self.page_buf[..]
                     }
                     Err(_) => continue,
                 }
             } else {
-                match ctx
-                    .dram
-                    .read(self.dram_log_off + lpn as usize * PAGE_SIZE, PAGE_SIZE)
-                {
-                    Ok(p) => p.to_vec(),
+                match ctx.dram.read(self.dram_log_page(lpn), PAGE_SIZE) {
+                    Ok(p) => p,
                     Err(_) => continue,
                 }
             };
-            recovered += Self::replay_page(&mut self.index, &page, |off, len| ValueLoc::Flushed {
-                lpn,
-                off,
-                len,
-            });
+            recovered += Self::replay_page(&mut self.index, page, lpn);
         }
         // Staging page last: newest entries win.
         if include_staging && self.staging_used > 0 {
             if let Ok(page) = ctx.dram.read(self.staging_off, PAGE_SIZE) {
-                let page = page.to_vec();
-                recovered += Self::replay_page(&mut self.index, &page, |off, len| {
-                    ValueLoc::Staged { off, len }
-                });
+                recovered += Self::replay_page(&mut self.index, page, self.next_lpn);
             }
         }
         recovered
     }
 
-    fn replay_page(
-        index: &mut BTreeMap<PaddedKey, ValueLoc>,
-        page: &[u8],
-        mut loc: impl FnMut(usize, usize) -> ValueLoc,
-    ) -> usize {
+    /// Replays log page `lpn`'s entries into `index`. Returns how many.
+    fn replay_page(index: &mut BTreeMap<u128, ValueLoc>, page: &[u8], lpn: u64) -> usize {
         let mut off = 0;
         let mut n = 0;
         while off + ENTRY_HEADER <= page.len() {
             let mut key = [0u8; MAX_KEY_LEN];
             key.copy_from_slice(&page[off..off + MAX_KEY_LEN]);
-            let len =
-                u16::from_le_bytes([page[off + MAX_KEY_LEN], page[off + MAX_KEY_LEN + 1]]) as usize;
-            if key == [0u8; MAX_KEY_LEN] && len == 0 {
+            let key = u128::from_be_bytes(key);
+            let len = u16::from_le_bytes([page[off + MAX_KEY_LEN], page[off + MAX_KEY_LEN + 1]]);
+            if key == 0 && len == 0 {
                 break; // end of log page
             }
-            if off + ENTRY_HEADER + len > page.len() {
+            if len == TOMBSTONE {
+                index.remove(&key);
+                off += ENTRY_HEADER;
+                n += 1;
+                continue;
+            }
+            if off + ENTRY_HEADER + usize::from(len) > page.len() {
                 break; // torn entry
             }
-            index.insert(key, loc(off + ENTRY_HEADER, len));
-            off += ENTRY_HEADER + len;
+            let loc = ValueLoc {
+                lpn,
+                off: (off + ENTRY_HEADER) as u16,
+                len,
+            };
+            index.insert(key, loc);
+            off += ENTRY_HEADER + usize::from(len);
             n += 1;
         }
         n
@@ -497,7 +535,7 @@ impl FirmwareHandler for KvFirmware {
         sqe: &SubmissionEntry,
         payload: Option<&[u8]>,
     ) -> CommandOutcome {
-        let key = key_from_sqe(sqe);
+        let key = u128::from_be_bytes(key_from_sqe(sqe));
         match sqe.io_opcode() {
             Some(IoOpcode::KvPut) => {
                 let Some(value) = payload else {
@@ -506,7 +544,7 @@ impl FirmwareHandler for KvFirmware {
                 self.put(&mut ctx, key, value)
             }
             Some(IoOpcode::KvGet) => self.get(&mut ctx, key),
-            Some(IoOpcode::KvDelete) => self.delete(&ctx, key),
+            Some(IoOpcode::KvDelete) => self.delete(&mut ctx, key),
             Some(IoOpcode::KvIter) => {
                 let cursor = sqe.cdw(14);
                 let buf_len = sqe.data_len() as usize;
@@ -533,18 +571,10 @@ impl FirmwareHandler for KvFirmware {
     }
 
     fn on_power_cycle(&mut self, mut ctx: FirmwareCtx<'_>) {
-        // Volatile cursors are gone with DRAM. The log LPN frontier is
-        // re-derived from the recovered FTL map: the log is written
-        // strictly sequentially, so the mapped prefix IS the persisted log.
-        self.staging_used = 0;
-        self.staged_keys.clear();
+        // Volatile cursors are gone with DRAM: recovery re-derives the log
+        // LPN frontier from the recovered FTL map, and never replays the
+        // (wiped) staging page.
         self.next_lpn = 0;
-        if self.nand_io {
-            while self.next_lpn < ctx.ftl.capacity_pages() && ctx.ftl.is_mapped(self.next_lpn) {
-                self.next_lpn += 1;
-            }
-        }
-        // Hard power loss: never replay the (wiped) staging page.
         self.recover_index(&mut ctx, false);
     }
 }

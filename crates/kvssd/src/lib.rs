@@ -9,8 +9,11 @@
 //! Two halves:
 //!
 //! * [`KvFirmware`] — device-side: a DRAM-staged, NAND-flushed value log
-//!   with an in-memory index (BTree for deterministic iteration), entry
-//!   headers on media for index recovery, and iterator support.
+//!   with an in-memory ordered index keyed by the padded key's big-endian
+//!   `u128` (byte-lexicographic iteration). Each entry records its value's
+//!   log page, so a staging flush re-indexes nothing. Entry headers on
+//!   media, DELETE tombstones included, let the index be rebuilt after a
+//!   power cycle; the iterator command walks the index.
 //! * [`KvStore`] — host-side: `put`/`get`/`delete`/`keys` over a
 //!   [`byteexpress::Device`], with the transfer method chosen per store (the
 //!   Fig 6 experiments swap PRP / BandSlim / ByteExpress here).

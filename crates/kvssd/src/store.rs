@@ -397,7 +397,7 @@ impl KvStore {
     /// Simulates a power event and index recovery. With `graceful = true`
     /// the staging page survives (planned restart); with `false` it is lost
     /// (crash/power loss) and only NAND-persisted entries come back.
-    /// Returns the number of index entries recovered.
+    /// Returns the number of log entries (values and tombstones) replayed.
     ///
     /// # Errors
     ///

@@ -94,9 +94,9 @@ pub struct BlockFirmware {
     nand_io: bool,
     /// Device-DRAM page buffer offset (landing zone in NAND-off mode).
     page_buffer: usize,
-    /// Zero-padded staging page for a write's sub-page tail, reused across
-    /// commands.
-    tail_page: Vec<u8>,
+    /// Scratch page reused across commands: a write's zero-padded sub-page
+    /// tail, and each page a read pulls from NAND.
+    page_buf: Vec<u8>,
 }
 
 impl BlockFirmware {
@@ -110,7 +110,7 @@ impl BlockFirmware {
         BlockFirmware {
             nand_io,
             page_buffer: region.offset,
-            tail_page: Vec::new(),
+            page_buf: Vec::new(),
         }
     }
 
@@ -155,10 +155,10 @@ impl FirmwareHandler for BlockFirmware {
                     let page = if chunk.len() == PAGE_SIZE {
                         chunk
                     } else {
-                        self.tail_page.clear();
-                        self.tail_page.extend_from_slice(chunk);
-                        self.tail_page.resize(PAGE_SIZE, 0);
-                        &self.tail_page
+                        self.page_buf.clear();
+                        self.page_buf.extend_from_slice(chunk);
+                        self.page_buf.resize(PAGE_SIZE, 0);
+                        &self.page_buf
                     };
                     match ctx.ftl.write(base_lpn + i as u64, page, ctx.nand, t) {
                         Ok(done) => t = done,
@@ -185,11 +185,14 @@ impl FirmwareHandler for BlockFirmware {
                 let base_lpn = sqe.slba();
                 let pages = len.div_ceil(PAGE_SIZE);
                 for i in 0..pages {
-                    match ctx.ftl.read(base_lpn + i as u64, ctx.nand, t) {
-                        Ok((data, done)) => {
+                    match ctx
+                        .ftl
+                        .read_into(base_lpn + i as u64, ctx.nand, t, &mut self.page_buf)
+                    {
+                        Ok(done) => {
                             t = done;
                             let take = (len - out.len()).min(PAGE_SIZE);
-                            out.extend_from_slice(&data[..take]);
+                            out.extend_from_slice(&self.page_buf[..take]);
                         }
                         Err(e) => return CommandOutcome::fail(ftl_status(&e), ctx.now),
                     }

@@ -507,6 +507,26 @@ impl Ftl {
         nand: &mut NandArray,
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos), FtlError> {
+        let mut data = Vec::new();
+        let done = self.read_into(lpn, nand, now, &mut data)?;
+        Ok((data, done))
+    }
+
+    /// [`Ftl::read`] into a caller-owned buffer: `out` is cleared and
+    /// refilled with the page, so a buffer reused across reads stops
+    /// allocating once it has grown to a page. On error `out`'s contents are
+    /// unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ftl::read`].
+    pub fn read_into(
+        &mut self,
+        lpn: u64,
+        nand: &mut NandArray,
+        now: Nanos,
+        out: &mut Vec<u8>,
+    ) -> Result<Nanos, FtlError> {
         if lpn >= self.exported_pages {
             return Err(FtlError::LpnOutOfRange {
                 lpn,
@@ -514,7 +534,7 @@ impl Ftl {
             });
         }
         let ppa = self.map[lpn as usize].ok_or(FtlError::Unmapped(lpn))?;
-        Ok(nand.read(ppa, now)?)
+        Ok(nand.read_into(ppa, now, out)?)
     }
 
     /// Invalidates a logical page (TRIM/deallocate): the mapping is dropped
@@ -803,6 +823,29 @@ mod tests {
         }
         let (data, _) = ftl.read(0, &mut nand, t).unwrap();
         assert_eq!(data, page(4));
+    }
+
+    #[test]
+    fn read_into_refills_a_dirty_buffer_and_keeps_read_errors() {
+        let mut nand = tiny_nand();
+        let mut ftl = Ftl::new(&nand, 0.25);
+        let t = ftl.write(2, &page(0x3C), &mut nand, Nanos::ZERO).unwrap();
+        let mut buf = vec![0xEE; 9000];
+        let done = ftl.read_into(2, &mut nand, t, &mut buf).unwrap();
+        assert_eq!(buf, page(0x3C));
+        assert!(done > t, "a NAND read takes time");
+        assert_eq!(
+            ftl.read_into(1, &mut nand, done, &mut buf),
+            Err(FtlError::Unmapped(1))
+        );
+        let cap = ftl.capacity_pages();
+        assert_eq!(
+            ftl.read_into(cap, &mut nand, done, &mut buf),
+            Err(FtlError::LpnOutOfRange {
+                lpn: cap,
+                capacity: cap
+            })
+        );
     }
 
     #[test]

@@ -213,3 +213,73 @@ fn overwrites_resolve_to_newest_after_recovery() {
         );
     }
 }
+
+#[test]
+fn staged_delete_survives_graceful_restart() {
+    // The tombstone sits in the staging page next to the PUT it cancels;
+    // replaying that page must end with the key gone.
+    let mut s = store();
+    s.put(b"k", b"v").unwrap();
+    assert!(s.delete(b"k").unwrap());
+    s.power_cycle(true).unwrap();
+    assert_eq!(s.get(b"k").unwrap(), None, "acked DELETE undone by replay");
+    assert!(s.keys().unwrap().is_empty());
+}
+
+#[test]
+fn flushed_delete_survives_power_loss() {
+    // The value is on an earlier flushed page, its tombstone on a later one:
+    // a crash keeps both pages, and replay must apply them in order.
+    let mut s = store();
+    s.put(b"k", &[1u8; 3000]).unwrap();
+    s.put(b"flush-1", &[2u8; 3000]).unwrap();
+    assert_eq!(s.device_stats().flushes, 1, "k's page is on NAND");
+    assert!(s.delete(b"k").unwrap());
+    s.put(b"flush-2", &[3u8; 3000]).unwrap();
+    assert_eq!(
+        s.device_stats().flushes,
+        2,
+        "the tombstone's page is on NAND"
+    );
+    s.power_cycle(false).unwrap();
+    assert_eq!(s.get(b"k").unwrap(), None, "acked DELETE undone by replay");
+    assert_eq!(s.get(b"flush-1").unwrap().unwrap(), vec![2u8; 3000]);
+}
+
+#[test]
+fn durable_delete_survives_hard_power_cut() {
+    // With write-through PUTs a DELETE's ack implies durability too: the
+    // tombstone is written through with the staging page it lands in.
+    let mut s = KvStore::open(KvStoreConfig {
+        durable_puts: true,
+        ..Default::default()
+    });
+    s.put(b"flushed", &[1u8; 3000]).unwrap();
+    s.put(b"filler", &[2u8; 3000]).unwrap();
+    s.put(b"staged", b"v").unwrap();
+    s.put(b"kept", b"w").unwrap();
+    assert_eq!(s.device_stats().flushes, 1, "only `flushed`'s page is full");
+    assert!(s.delete(b"flushed").unwrap());
+    assert!(s.delete(b"staged").unwrap());
+    s.hard_power_cycle().unwrap();
+    assert_eq!(s.get(b"flushed").unwrap(), None);
+    assert_eq!(s.get(b"staged").unwrap(), None);
+    assert_eq!(s.get(b"kept").unwrap().unwrap(), b"w");
+    assert_eq!(
+        s.keys().unwrap(),
+        vec![b"filler".to_vec(), b"kept".to_vec()]
+    );
+}
+
+#[test]
+fn batch_refuses_an_entry_that_reads_as_end_of_page() {
+    // An empty value under the all-zero key would encode as the all-zero
+    // header that ends a log page on replay, hiding every later entry of
+    // that page from recovery.
+    let mut s = store();
+    assert!(s.put_batch(&[(b"", b"")]).is_err());
+    assert!(s.put_batch(&[(b"\0", b"")]).is_err());
+    s.put_batch(&[(b"", b"x"), (b"a", b"1")]).unwrap();
+    s.power_cycle(true).unwrap();
+    assert_eq!(s.keys().unwrap(), vec![b"".to_vec(), b"a".to_vec()]);
+}
