@@ -197,16 +197,16 @@ impl DeviceBuilder {
     /// Installs a deterministic fault schedule (seeded from
     /// `cfg.seed`), shared by the link, controller, and NAND models. The
     /// admin queue is exempt, so bring-up always succeeds. Pair with
-    /// [`DeviceBuilder::retry_policy`] — faults without recovery make
-    /// `execute` panic on the first lost completion.
+    /// [`DeviceBuilder::retry_policy`] — without recovery the first lost
+    /// command fails its call with [`DriverError::Timeout`].
     pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
         self.fault_config = Some(cfg);
         self
     }
 
     /// Installs the driver's timeout/retry/degradation policy. Without one
-    /// the driver keeps the original fail-fast behaviour and the wire
-    /// traffic is byte-identical to a build without recovery support.
+    /// every command gets a single attempt and the wire traffic is
+    /// byte-identical to a build without recovery support.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = Some(policy);
         self
@@ -556,8 +556,9 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Driver`] on submit failure; completions (including
-    /// error statuses) are returned as `Ok`.
+    /// [`DeviceError::Driver`] on submit failure or a command that never
+    /// completes; completions (including error statuses) are returned as
+    /// `Ok`.
     pub fn passthru(
         &mut self,
         cmd: &PassthruCmd,
@@ -591,10 +592,7 @@ impl Device {
         data: &[u8],
         method: TransferMethod,
     ) -> Result<Completion, DeviceError> {
-        let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.to_vec());
-        cmd.cdw10_15[0] = lba as u32;
-        cmd.cdw10_15[1] = (lba >> 32) as u32;
-        let completion = self.passthru(&cmd, method)?;
+        let completion = self.passthru(&write_cmd(lba, data.to_vec()), method)?;
         if !completion.status.is_success() {
             return Err(DeviceError::Command(completion.status));
         }
@@ -610,25 +608,19 @@ impl Device {
     /// # Errors
     ///
     /// [`DeviceError::Driver`] if any submission is rejected (commands
-    /// already placed still execute before the error returns);
-    /// [`DeviceError::Command`] on the first failed completion status.
+    /// already placed still execute before the error returns) or a command
+    /// never completes; [`DeviceError::Command`] on the first failed
+    /// completion status.
     pub fn write_batch(
         &mut self,
         qid: QueueId,
         items: &[(u64, Vec<u8>)],
         method: TransferMethod,
     ) -> Result<Vec<Completion>, DeviceError> {
-        let cmds: Vec<(PassthruCmd, TransferMethod)> = items
-            .iter()
-            .map(|(lba, data)| {
-                let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.clone());
-                cmd.cdw10_15[0] = *lba as u32;
-                cmd.cdw10_15[1] = (*lba >> 32) as u32;
-                (cmd, method)
-            })
-            .collect();
-        let batch = self.driver.submit_batch(qid, &cmds);
-        let completions = self.drain_batch(qid, &batch.submitted)?;
+        let batch = self.driver.submit_batch(qid, &write_cmds(items, method));
+        let mut completions = Vec::with_capacity(batch.submitted.len());
+        self.driver
+            .wait_for(&mut self.ctrl, qid, &batch.submitted, &mut completions)?;
         if let Some(e) = batch.error {
             return Err(DeviceError::Driver(e));
         }
@@ -649,87 +641,45 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Driver`] if any submission is rejected;
+    /// [`DeviceError::Driver`] if a submission is rejected (later batches
+    /// are not submitted) or a command never completes;
     /// [`DeviceError::Command`] on the first failed completion status.
+    /// Either way every accepted command on every queue is drained before
+    /// the first error returns, so no queue is left holding completions
+    /// nobody polls.
     pub fn write_batch_multi(
         &mut self,
         batches: &[QueueBatch],
         method: TransferMethod,
     ) -> Result<Vec<Vec<Completion>>, DeviceError> {
         let mut submitted = Vec::with_capacity(batches.len());
+        let mut error = None;
         for (qid, items) in batches {
-            let cmds: Vec<(PassthruCmd, TransferMethod)> = items
-                .iter()
-                .map(|(lba, data)| {
-                    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data.clone());
-                    cmd.cdw10_15[0] = *lba as u32;
-                    cmd.cdw10_15[1] = (*lba >> 32) as u32;
-                    (cmd, method)
-                })
-                .collect();
-            let batch = self.driver.submit_batch(*qid, &cmds);
-            if let Some(e) = batch.error {
-                return Err(DeviceError::Driver(e));
-            }
-            self.driver.flush_sq(*qid)?;
+            let batch = self.driver.submit_batch(*qid, &write_cmds(items, method));
             submitted.push((*qid, batch.submitted));
+            if let Some(e) = batch.error {
+                error = Some(DeviceError::Driver(e));
+                break;
+            }
         }
         let mut out = Vec::with_capacity(submitted.len());
         for (qid, cmds) in &submitted {
-            let completions = self.drain_batch(*qid, cmds)?;
+            let mut completions = Vec::with_capacity(cmds.len());
+            if let Err(e) = self
+                .driver
+                .wait_for(&mut self.ctrl, *qid, cmds, &mut completions)
+            {
+                error.get_or_insert(DeviceError::Driver(e));
+            }
             if let Some(c) = completions.iter().find(|c| !c.status.is_success()) {
-                return Err(DeviceError::Command(c.status));
+                error.get_or_insert(DeviceError::Command(c.status));
             }
             out.push(completions);
         }
-        Ok(out)
-    }
-
-    /// Pumps controller + completion poll until every submitted cid of a
-    /// batch has completed; results in submission order.
-    fn drain_batch(
-        &mut self,
-        qid: QueueId,
-        submitted: &[bx_driver::SubmittedCmd],
-    ) -> Result<Vec<Completion>, DeviceError> {
-        let mut pending: std::collections::HashMap<u16, usize> = submitted
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.cid, i))
-            .collect();
-        let mut out: Vec<Option<Completion>> = submitted.iter().map(|_| None).collect();
-        let poll_step = self.driver.retry_policy().map(|p| p.poll_interval);
-        let mut idle_passes = 0u32;
-        while !pending.is_empty() {
-            self.ctrl.process_available();
-            let got = self.driver.poll_completions(qid)?;
-            if got.is_empty() {
-                idle_passes += 1;
-                match poll_step {
-                    // With a retry policy the clock advance drives the
-                    // timeout reaper, which eventually posts a synthetic
-                    // completion for every lost cid — so this terminates.
-                    Some(step) => {
-                        self.bus.clock.advance(step);
-                    }
-                    None => assert!(
-                        idle_passes < 4,
-                        "controller must complete the submitted batch"
-                    ),
-                }
-            } else {
-                idle_passes = 0;
-            }
-            for c in got {
-                if let Some(i) = pending.remove(&c.cid) {
-                    out[i] = Some(c);
-                }
-            }
+        match error {
+            Some(e) => Err(e),
+            None => Ok(out),
         }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("filled when pending emptied"))
-            .collect())
     }
 
     /// Reads `len` bytes from logical block `lba`.
@@ -788,6 +738,25 @@ impl Default for Device {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The Write command for `data` at logical block `lba`.
+fn write_cmd(lba: u64, data: Vec<u8>) -> PassthruCmd {
+    let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, data);
+    cmd.cdw10_15[0] = lba as u32;
+    cmd.cdw10_15[1] = (lba >> 32) as u32;
+    cmd
+}
+
+/// One Write command per `(lba, data)` item, all sent via `method`.
+fn write_cmds(
+    items: &[(u64, Vec<u8>)],
+    method: TransferMethod,
+) -> Vec<(PassthruCmd, TransferMethod)> {
+    items
+        .iter()
+        .map(|(lba, data)| (write_cmd(*lba, data.clone()), method))
+        .collect()
 }
 
 /// Summary of one measurement run.
@@ -930,6 +899,86 @@ mod tests {
         // Reading an unwritten LBA fails with LbaOutOfRange.
         let err = dev.read(999, 100).unwrap_err();
         assert_eq!(err, DeviceError::Command(Status::LbaOutOfRange));
+    }
+
+    /// Every queue of `dev` has nothing left in flight.
+    fn assert_drained(dev: &mut Device) {
+        for q in dev.queues().to_vec() {
+            assert_eq!(dev.driver_mut().inflight_len(q), 0, "{q} left in flight");
+        }
+    }
+
+    #[test]
+    fn write_batch_multi_drains_accepted_commands_of_a_rejected_batch() {
+        // Depth 8 holds 7 PRP writes; the 8th is rejected as QueueFull.
+        let mut dev = Device::builder().queue_depth(8).build();
+        let q = dev.queues()[0];
+        let items: Vec<(u64, Vec<u8>)> = (0..12).map(|i| (i * 8, vec![i as u8; 512])).collect();
+        let err = dev
+            .write_batch_multi(&[(q, items)], TransferMethod::Prp)
+            .unwrap_err();
+        assert!(
+            matches!(err, DeviceError::Driver(DriverError::QueueFull { .. })),
+            "{err:?}"
+        );
+        assert_drained(&mut dev);
+        dev.write(200, &[7; 64], TransferMethod::ByteExpress)
+            .expect("the queue is usable after the error");
+    }
+
+    #[test]
+    fn write_batch_multi_drains_later_queues_after_a_failed_status() {
+        let mut dev = Device::builder().queue_count(2).build();
+        let (q1, q2) = (dev.queues()[0], dev.queues()[1]);
+        // An LBA far past capacity fails with LbaOutOfRange.
+        let bad = vec![(0, vec![1; 64]), (u64::MAX >> 2, vec![2; 64])];
+        let good: Vec<(u64, Vec<u8>)> = (0..4).map(|i| (64 + i * 8, vec![3; 64])).collect();
+        let err = dev
+            .write_batch_multi(&[(q1, bad), (q2, good)], TransferMethod::ByteExpress)
+            .unwrap_err();
+        assert_eq!(err, DeviceError::Command(Status::LbaOutOfRange));
+        assert_drained(&mut dev);
+        let mut cmd = PassthruCmd::to_device(IoOpcode::Write, 1, vec![4; 64]);
+        cmd.cdw10_15[0] = 128;
+        let c = dev
+            .passthru_on(q2, &cmd, TransferMethod::ByteExpress)
+            .unwrap();
+        assert!(c.status.is_success());
+    }
+
+    #[test]
+    fn lost_command_without_retry_policy_is_a_timeout() {
+        let mut dev = Device::builder()
+            .fault_config(FaultConfig {
+                drop_doorbell: 1.0,
+                ..FaultConfig::disabled()
+            })
+            .build();
+        let q = dev.queues()[0];
+        let timed_out = |e: Option<DeviceError>| {
+            matches!(
+                e,
+                Some(DeviceError::Driver(DriverError::Timeout {
+                    attempts: 1,
+                    ..
+                }))
+            )
+        };
+        let cmd = write_cmd(0, vec![1; 64]);
+        assert!(timed_out(
+            dev.passthru(&cmd, TransferMethod::ByteExpress).err()
+        ));
+        let items = vec![(8, vec![2; 64]), (16, vec![3; 4096])];
+        let method = TransferMethod::hybrid_default();
+        assert!(timed_out(dev.write_batch(q, &items, method).err()));
+        assert_eq!(dev.driver_mut().inflight_len(q), 3);
+
+        // The next doorbell that lands covers every orphaned entry.
+        dev.disable_faults();
+        dev.write(24, &[4; 64], TransferMethod::ByteExpress)
+            .expect("the queue recovers once doorbells land");
+        assert_drained(&mut dev);
+        assert_eq!(dev.read(16, 4096).unwrap(), vec![3; 4096]);
     }
 
     #[test]

@@ -15,9 +15,10 @@ use bx_hostsim::Nanos;
 /// With a policy installed every submission stages its tail instead of
 /// ringing immediately; the doorbell MMIO happens when either bound is
 /// hit, when [`crate::NvmeDriver::flush_sq`] is called, or at the end of
-/// a [`crate::NvmeDriver::submit_batch`]. The synchronous `execute`
-/// paths flush after each submit, so single-command callers see exactly
-/// one doorbell per command regardless of policy.
+/// a [`crate::NvmeDriver::submit_batch`]. The synchronous
+/// [`crate::NvmeDriver::execute`] flushes after each submit (retries
+/// included), so single-command callers see exactly one doorbell per
+/// command regardless of policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushPolicy {
     /// Ring once this many commands have accumulated un-doorbelled

@@ -54,8 +54,10 @@ pub enum DriverError {
     /// The controller does not advertise the capability this submission
     /// needs (per its Identify data).
     Unsupported(&'static str),
-    /// A command missed its completion deadline on every allowed attempt
-    /// (recovery path only; requires a [`RetryPolicy`]).
+    /// A command never completed. With a [`RetryPolicy`] it missed its
+    /// deadline on every allowed attempt; without one the controller went
+    /// idle with the command still outstanding (e.g. its doorbell was
+    /// lost), so no amount of waiting could complete it.
     Timeout {
         /// Which command (queue, last attempt's cid, opcode).
         ctx: CmdContext,
@@ -172,6 +174,8 @@ pub struct SubmittedCmd {
     pub cid: u16,
     /// Virtual time at submission start.
     pub submitted_at: Nanos,
+    /// The command's raw NVMe opcode (names it in a [`DriverError::Timeout`]).
+    pub opcode: u8,
 }
 
 /// A consumed completion.
@@ -340,6 +344,11 @@ pub struct NvmeDriver {
     /// 0 means once per poll sweep (the maximally coalesced default);
     /// 1 reproduces a naive per-CQE driver.
     cq_coalesce: u16,
+    /// Scratch for the completion wait: each pass's poll lands here.
+    polled: Vec<Completion>,
+    /// Scratch for the completion wait: one slot per awaited command, in
+    /// submission order.
+    awaited: Vec<Option<Completion>>,
 }
 
 impl fmt::Debug for NvmeDriver {
@@ -379,6 +388,8 @@ impl NvmeDriver {
             recovery: RecoveryStats::default(),
             flush_policy: None,
             cq_coalesce: 0,
+            polled: Vec::new(),
+            awaited: Vec::new(),
         }
     }
 
@@ -402,9 +413,9 @@ impl NvmeDriver {
     }
 
     /// Installs (or with `None`, removes) the timeout/retry/degradation
-    /// policy. With no policy the driver behaves exactly as before the
-    /// recovery machinery existed: `execute` panics on a lost completion
-    /// and nothing is ever reaped or resubmitted.
+    /// policy. With no policy nothing is ever reaped or resubmitted:
+    /// `execute` makes one attempt, and a command the controller never
+    /// completes surfaces as [`DriverError::Timeout`].
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry_policy = policy;
     }
@@ -812,6 +823,7 @@ impl NvmeDriver {
             queue: qid,
             cid,
             submitted_at,
+            opcode: cmd.opcode,
         })
     }
 
@@ -1544,19 +1556,23 @@ impl NvmeDriver {
         Ok(())
     }
 
-    /// Submit + drive the controller + poll: the synchronous convenience the
-    /// examples and benchmarks use.
+    /// Submit + drive the controller + wait: the synchronous convenience
+    /// the examples and benchmarks use.
     ///
-    /// Without a [`RetryPolicy`] this is the original fail-fast path: one
-    /// submission, and a missing completion is a bug that panics. With a
-    /// policy installed (see [`NvmeDriver::set_retry_policy`]) it runs the
-    /// recovering ladder instead: deadline → timeout reap → classified
-    /// retry with capped exponential backoff → ByteExpress→PRP degradation.
+    /// Without a [`RetryPolicy`] this makes one attempt with the requested
+    /// method: submit, one doorbell, one controller pass and one poll in
+    /// the common case. A completion with an error status is returned as
+    /// is; a command the controller never completes is a
+    /// [`DriverError::Timeout`]. With a policy installed (see
+    /// [`NvmeDriver::set_retry_policy`]) it runs the recovering ladder:
+    /// deadline → timeout reap → classified retry with capped exponential
+    /// backoff → ByteExpress→PRP degradation.
     ///
     /// # Errors
     ///
-    /// Propagates submit/poll failures; on the recovery path also
-    /// [`DriverError::Timeout`] / [`DriverError::RetriesExhausted`].
+    /// Propagates submit/poll failures and [`DriverError::Timeout`]; with
+    /// a policy also [`DriverError::RetriesExhausted`] and
+    /// [`DriverError::Submission`].
     pub fn execute(
         &mut self,
         qid: QueueId,
@@ -1564,27 +1580,96 @@ impl NvmeDriver {
         cmd: &PassthruCmd,
         method: TransferMethod,
     ) -> Result<Completion, DriverError> {
-        if self.retry_policy.is_some() {
-            return self.execute_recover(qid, ctrl, cmd, method);
+        let started = self.bus.clock.now();
+        let mut attempt: u32 = 0;
+        let mut last_ctx: Option<CmdContext> = None;
+        loop {
+            if attempt > 0 {
+                // Drain stragglers (late CQEs from the previous attempt)
+                // before claiming fresh SQ slots.
+                self.wait(ctrl, qid, &[])?;
+            }
+            let (effective, role) = self.plan_method(qid, cmd, method)?;
+            let submitted = match self.submit(qid, cmd, effective) {
+                Ok(s) => s,
+                Err(e) => {
+                    return Err(match last_ctx {
+                        Some(ctx) => DriverError::Submission {
+                            ctx,
+                            cause: Box::new(e),
+                        },
+                        None => e,
+                    });
+                }
+            };
+            // Synchronous callers see one doorbell per command regardless
+            // of any installed flush policy, and the recovery ladder wants
+            // its deadline clock to start against a visible submission.
+            self.flush_sq(qid)?;
+            let ctx = CmdContext {
+                qid,
+                cid: submitted.cid,
+                opcode: cmd.opcode,
+            };
+            last_ctx = Some(ctx);
+
+            // Either a real CQE or, with a policy, the synthetic
+            // CommandAborted the timeout reaper posts once the deadline
+            // passes.
+            self.wait(ctrl, qid, std::slice::from_ref(&submitted))?;
+            let mut completion = self
+                .awaited
+                .pop()
+                .flatten()
+                .ok_or_else(|| self.lost(&submitted))?;
+            completion.submitted_at = started;
+            self.note_attempt(qid, role, completion.status.is_success());
+            let policy = match self.retry_policy {
+                Some(policy) if completion.status.is_retriable() && is_idempotent(cmd.opcode) => {
+                    policy
+                }
+                // Success, a status that is not retriable (or a command
+                // unsafe to repeat), or no policy: the caller sees the
+                // status as is.
+                _ => return Ok(completion),
+            };
+            if attempt >= policy.max_retries {
+                self.recovery.retries_exhausted += 1;
+                return Err(if completion.status == Status::CommandAborted {
+                    DriverError::Timeout {
+                        ctx,
+                        waited: self.bus.clock.now().saturating_sub(started),
+                        attempts: attempt + 1,
+                    }
+                } else {
+                    DriverError::RetriesExhausted {
+                        ctx,
+                        attempts: attempt + 1,
+                        last_status: completion.status,
+                    }
+                });
+            }
+            let key = CmdKey::new(ctx.qid.0, ctx.cid);
+            self.bus.trace.emit_cmd(key, || EventKind::Retry {
+                attempt: attempt + 1,
+                backoff: policy.backoff(attempt),
+            });
+            self.bus.clock.advance(policy.backoff(attempt));
+            self.recovery.retries += 1;
+            let retries = self.recovery.retries;
+            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
+                gauge: "driver_retries",
+                scope: 0,
+                value: retries,
+            });
+            attempt += 1;
         }
-        let submitted = self.submit(qid, cmd, method)?;
-        // Synchronous callers see one doorbell per command regardless of
-        // any installed flush policy.
-        self.flush_sq(qid)?;
-        ctrl.process_available();
-        let mut completions = self.poll_completions(qid)?;
-        let idx = completions
-            .iter()
-            .position(|c| c.cid == submitted.cid)
-            // bx-lint: allow(panic-freedom, reason = "the synchronous controller model drains every in-flight command inside process_available()")
-            .expect("controller must complete the submitted command");
-        let mut completion = completions.swap_remove(idx);
-        completion.submitted_at = submitted.submitted_at;
-        Ok(completion)
     }
 
-    /// Picks the transfer method for one attempt, honouring the queue's
-    /// degradation state, and reports how ByteExpress was involved.
+    /// Picks the transfer method for one attempt and reports how
+    /// ByteExpress was involved. With a [`RetryPolicy`] this honours the
+    /// queue's degradation state; without one it is the requested method,
+    /// resolved.
     fn plan_method(
         &mut self,
         qid: QueueId,
@@ -1598,17 +1683,15 @@ impl NvmeDriver {
         if resolved != TransferMethod::ByteExpress {
             return Ok((resolved, BxRole::NotBx));
         }
-        let probe_after = self
-            .retry_policy
-            // bx-lint: allow(panic-freedom, reason = "plan_method is private to execute_recover, which requires an installed RetryPolicy")
-            .expect("plan_method is only called on the recovery path")
-            .probe_after;
+        let Some(policy) = self.retry_policy else {
+            return Ok((resolved, BxRole::NotBx));
+        };
         let qp = self.queue_mut(qid)?;
         if !qp.degrade.degraded {
             return Ok((TransferMethod::ByteExpress, BxRole::Normal));
         }
         qp.degrade.ops_since_probe += 1;
-        if qp.degrade.ops_since_probe >= probe_after {
+        if qp.degrade.ops_since_probe >= policy.probe_after {
             qp.degrade.ops_since_probe = 0;
             self.recovery.probes += 1;
             self.bus.trace.emit(None, || EventKind::ProbeIssued);
@@ -1659,114 +1742,115 @@ impl NvmeDriver {
         }
     }
 
-    /// The recovering execute: deadline-bounded wait, classified retry with
-    /// capped exponential backoff, ByteExpress→PRP graceful degradation.
-    fn execute_recover(
+    /// Drives the controller and polls `qid` until every command in `cmds`
+    /// has completed, appending their completions to `out` in `cmds`
+    /// order.
+    ///
+    /// This is the driver's one completion wait: [`NvmeDriver::execute`],
+    /// its retry ladder and `Device`'s batch writes all block here. Each
+    /// pass runs the controller, then makes one
+    /// [`NvmeDriver::poll_completions_into`] sweep and routes what it
+    /// drained to `cmds` by cid; completions for any other cid (stragglers
+    /// of an earlier, reaped attempt) are consumed and dropped. A pass that
+    /// delivers none of the awaited commands is idle:
+    ///
+    /// * with a [`RetryPolicy`], the clock advances by its poll step, so
+    ///   the timeout reaper's deadline bounds the wait;
+    /// * without one, if the controller completed nothing in that pass
+    ///   either, nothing ever will, and the wait gives up.
+    ///
+    /// At least one pass always runs, so with `cmds` empty the wait drains
+    /// whatever is ready and returns.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::Timeout`] for the first command still outstanding
+    /// when a wait without a policy gives up (the unfinished commands stay
+    /// in flight; a later poll of the queue consumes them);
+    /// [`DriverError::UnknownQueue`] for a bad queue id.
+    pub fn wait_for(
         &mut self,
-        qid: QueueId,
         ctrl: &mut Controller,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Result<Completion, DriverError> {
-        // bx-lint: allow(panic-freedom, reason = "execute_with_recovery verifies a RetryPolicy is installed before dispatching here")
-        let policy = self.retry_policy.expect("caller checked");
-        let started = self.bus.clock.now();
-        let mut attempt: u32 = 0;
-        let mut last_ctx: Option<CmdContext> = None;
-        loop {
-            if attempt > 0 {
-                // Drain stragglers (late CQEs from the previous attempt)
-                // before claiming fresh SQ slots.
-                ctrl.process_available();
-                self.poll_completions(qid)?;
+        qid: QueueId,
+        cmds: &[SubmittedCmd],
+        out: &mut Vec<Completion>,
+    ) -> Result<(), DriverError> {
+        self.wait(ctrl, qid, cmds)?;
+        out.extend(self.awaited.drain(..).flatten());
+        Ok(())
+    }
+
+    /// [`NvmeDriver::wait_for`], leaving the completions in `self.awaited`.
+    fn wait(
+        &mut self,
+        ctrl: &mut Controller,
+        qid: QueueId,
+        cmds: &[SubmittedCmd],
+    ) -> Result<(), DriverError> {
+        self.awaited.clear();
+        self.awaited.resize_with(cmds.len(), || None);
+        let mut pending = cmds.len();
+        let mut polled = std::mem::take(&mut self.polled);
+        let result = loop {
+            let processed = ctrl.process_available();
+            polled.clear();
+            if let Err(e) = self.poll_completions_into(qid, &mut polled) {
+                break Err(e);
             }
-            let (effective, role) = self.plan_method(qid, cmd, method)?;
-            let submitted = match self.submit(qid, cmd, effective) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Err(match last_ctx {
-                        Some(ctx) => DriverError::Submission {
-                            ctx,
-                            cause: Box::new(e),
-                        },
-                        None => e,
-                    });
+            let before = pending;
+            for c in polled.drain(..) {
+                let slot = slot_of(cmds, c.cid).and_then(|i| self.awaited.get_mut(i));
+                if let Some(slot @ None) = slot {
+                    *slot = Some(c);
+                    pending -= 1;
                 }
-            };
-            // A deferred doorbell would stall the attempt until the delay
-            // bound; the recovery ladder wants its deadline clock to start
-            // against a visible submission.
-            self.flush_sq(qid)?;
-            let ctx = CmdContext {
-                qid,
-                cid: submitted.cid,
+            }
+            if pending == 0 {
+                break Ok(());
+            }
+            if pending < before {
+                continue;
+            }
+            match self.retry_policy {
+                Some(policy) => {
+                    self.bus.clock.advance(policy.poll_step());
+                }
+                None if processed == 0 => {
+                    let outstanding = cmds.iter().zip(&self.awaited).find(|(_, s)| s.is_none());
+                    if let Some((cmd, _)) = outstanding {
+                        break Err(self.lost(cmd));
+                    }
+                }
+                None => {}
+            }
+        };
+        self.polled = polled;
+        result
+    }
+
+    /// The error for a command that never completed on its first attempt.
+    fn lost(&self, cmd: &SubmittedCmd) -> DriverError {
+        DriverError::Timeout {
+            ctx: CmdContext {
+                qid: cmd.queue,
+                cid: cmd.cid,
                 opcode: cmd.opcode,
-            };
-            last_ctx = Some(ctx);
-
-            // Pump device + completion poll until our cid appears — either a
-            // real CQE or the synthetic CommandAborted the timeout reaper
-            // posts once the deadline passes. The clock advances every
-            // iteration, so this loop always terminates.
-            let completion = loop {
-                ctrl.process_available();
-                let done = self
-                    .poll_completions(qid)?
-                    .into_iter()
-                    .find(|c| c.cid == submitted.cid);
-                if let Some(c) = done {
-                    break c;
-                }
-                self.bus.clock.advance(policy.poll_step());
-            };
-
-            if completion.status.is_success() {
-                self.note_attempt(qid, role, true);
-                let mut c = completion;
-                c.submitted_at = started;
-                return Ok(c);
-            }
-
-            self.note_attempt(qid, role, false);
-            if !(completion.status.is_retriable() && is_idempotent(cmd.opcode)) {
-                // Non-retriable (or unsafe to repeat): surface the error
-                // status to the caller exactly like the fail-fast path.
-                let mut c = completion;
-                c.submitted_at = started;
-                return Ok(c);
-            }
-            if attempt >= policy.max_retries {
-                self.recovery.retries_exhausted += 1;
-                return Err(if completion.status == Status::CommandAborted {
-                    DriverError::Timeout {
-                        ctx,
-                        waited: self.bus.clock.now().saturating_sub(started),
-                        attempts: attempt + 1,
-                    }
-                } else {
-                    DriverError::RetriesExhausted {
-                        ctx,
-                        attempts: attempt + 1,
-                        last_status: completion.status,
-                    }
-                });
-            }
-            let key = CmdKey::new(ctx.qid.0, ctx.cid);
-            self.bus.trace.emit_cmd(key, || EventKind::Retry {
-                attempt: attempt + 1,
-                backoff: policy.backoff(attempt),
-            });
-            self.bus.clock.advance(policy.backoff(attempt));
-            self.recovery.retries += 1;
-            let retries = self.recovery.retries;
-            self.bus.trace.emit_gauge(|| EventKind::GaugeSample {
-                gauge: "driver_retries",
-                scope: 0,
-                value: retries,
-            });
-            attempt += 1;
+            },
+            waited: self.bus.clock.now().saturating_sub(cmd.submitted_at),
+            attempts: 1,
         }
     }
+}
+
+/// The index of `cid` in `cmds`, if it is one of them.
+fn slot_of(cmds: &[SubmittedCmd], cid: u16) -> Option<usize> {
+    // A queue hands out cids in sequence, so a batch's cids are usually
+    // consecutive and the offset from the first one is the slot.
+    let guess = usize::from(cid.wrapping_sub(cmds.first()?.cid));
+    if cmds.get(guess).is_some_and(|c| c.cid == cid) {
+        return Some(guess);
+    }
+    cmds.iter().position(|c| c.cid == cid)
 }
 
 impl QueuePair {

@@ -37,8 +37,6 @@ pub mod timing;
 pub use batch::{BatchSubmission, FlushPolicy};
 pub use driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
 pub use method::{InlineMode, TransferMethod};
-pub use reactor::{
-    CommandFuture, Drive, Reactor, ReactorConfig, ReactorStats, ShardHandle, ShardStats, SimDrive,
-};
+pub use reactor::{CommandFuture, Reactor, ReactorConfig, ReactorStats, ShardHandle, ShardStats};
 pub use recovery::{is_idempotent, CmdContext, RecoveryStats, RetryPolicy};
 pub use timing::DriverTiming;

@@ -1,45 +1,45 @@
-//! The completion-driven async reactor (ROADMAP item 1).
+//! The completion-driven async reactor.
 //!
-//! The synchronous API (`execute` → `poll_completions`) expresses one
-//! command per caller at a time; realistic many-client concurrency on top of
-//! the pipelined controller needs commands from *many* logical clients in
+//! The synchronous API ([`NvmeDriver::execute`]) runs one command per
+//! caller at a time; realistic many-client concurrency on top of the
+//! pipelined controller needs commands from *many* logical clients in
 //! flight together, each resolving independently when its completion
 //! arrives. This module provides that as an io_uring-style reactor, shaped
-//! after ringbahn's `Drive` trait and xaio's `send_one`/`send_many`/`flush`
-//! sender contract:
+//! after ringbahn's submit contract and xaio's `send_one`/`send_many`/
+//! `flush` sender:
 //!
-//! * [`Drive`] — the submission/flush contract a backend implements:
-//!   `poll_prepare` stages a command (backpressure surfaces as
-//!   `Poll::Pending`, *not* an error), `poll_submit` lets the installed
-//!   [`FlushPolicy`] decide whether a doorbell is due, `poll_flush` forces
-//!   the staged tail out. [`SimDrive`] implements it over [`NvmeDriver`].
 //! * **Shards** — thread-per-core style ownership: each shard owns its own
-//!   `NvmeDriver` (its own queues, cid spaces, inflight tables, flush
+//!   [`NvmeDriver`] (its own queues, cid spaces, inflight tables, flush
 //!   state), so no locking is needed across shards. The shared [`SystemBus`]
 //!   stays single-threaded behind per-shard handles — the simulation's
 //!   virtual clock is global, and `Rc<RefCell<_>>` sharing models the
 //!   per-core handles without pretending the clock itself scales.
-//! * [`CommandFuture`] — one in-flight command; resolves when the
-//!   dispatcher routes its completion (ring CQE or byte-interface status
-//!   word alike) back to the shard's waker-keyed waiter table.
+//! * [`CommandFuture`] — one in-flight command. Its first poll stages the
+//!   command with [`NvmeDriver::submit`]; a full SQ is backpressure
+//!   (`Poll::Pending`, parked until the next drain), not an error. The
+//!   installed [`FlushPolicy`] then decides whether a doorbell is due. The
+//!   future resolves when the dispatcher routes its completion (ring CQE or
+//!   byte-interface status word alike) back to the shard's waker-keyed
+//!   waiter table.
 //! * The **dispatcher** ([`Reactor::turn`]) — flushes every shard's staged
 //!   doorbells, runs the controller, then drains each queue *on its owning
-//!   shard* and wakes exactly the futures whose completions arrived. The
-//!   per-queue drain is what makes this correct: completions are routed by
-//!   the `(qid, cid)` the device echoes, never by poll order.
+//!   shard* with [`NvmeDriver::poll_completions_into`] and wakes exactly the
+//!   futures whose completions arrived. The per-queue drain is what makes
+//!   this correct: completions are routed by the `(qid, cid)` the device
+//!   echoes, never by poll order.
 //!
 //! The executor ([`Reactor::run`]) is deliberately minimal and std-only: a
-//! single-threaded poll loop over `Arc`-flagged tasks, with virtual-time
-//! idle advancement standing in for an OS timer wheel — when no task is
-//! runnable and no completion is ready but commands are in flight, the
-//! reactor advances the clock so the device (or the timeout reaper) can
-//! make progress.
+//! single-threaded poll loop over `Arc`-flagged tasks. When no task is
+//! runnable and no completion is ready but commands are in flight, it
+//! follows the same idle rule as [`NvmeDriver::wait_for`]: with a
+//! [`RetryPolicy`] it advances the clock by the policy's poll step so the
+//! timeout reaper can make progress; without one nothing can ever complete
+//! those commands, and `run` reports the deadlock.
 
 use crate::batch::FlushPolicy;
-use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver, SubmittedCmd};
+use crate::driver::{Completion, DriverError, DriverStats, NvmeDriver};
 use crate::method::TransferMethod;
 use crate::recovery::{RecoveryStats, RetryPolicy};
-use bx_hostsim::Nanos;
 use bx_nvme::{PassthruCmd, QueueId};
 use bx_pcie::LinkConfig;
 use bx_ssd::{BlockFirmware, Controller, ControllerConfig, ExecutionModel, NandConfig, SystemBus};
@@ -52,134 +52,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-
-/// The submission-side contract between command futures and a queue
-/// backend, after ringbahn's `Drive`.
-///
-/// All three methods are poll-shaped so a backend may exert backpressure
-/// (`poll_prepare` returning [`Poll::Pending`] when the SQ is full) or
-/// defer doorbells (`poll_submit` letting a flush policy batch across
-/// callers). The simulator implementation ([`SimDrive`]) never returns
-/// `Pending` from the flush methods — the MMIO doorbell write is
-/// synchronous — but the contract leaves room for backends where it is not.
-pub trait Drive {
-    /// Stages `cmd` into `qid`'s submission queue and begins tracking it in
-    /// flight. Returns `Pending` (not an error) when the queue has no room;
-    /// the caller re-polls after completions drain.
-    fn poll_prepare(
-        &mut self,
-        cx: &mut Context<'_>,
-        qid: QueueId,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Poll<Result<SubmittedCmd, DriverError>>;
-
-    /// Gives the backend's flush policy a chance to ring a due doorbell
-    /// (max-delay bound exceeded); does nothing when no flush is due.
-    fn poll_submit(&mut self, cx: &mut Context<'_>, qid: QueueId) -> Poll<Result<(), DriverError>>;
-
-    /// Forces any staged-but-unrung tail out to the device. Returns whether
-    /// a doorbell was actually rung.
-    fn poll_flush(&mut self, cx: &mut Context<'_>, qid: QueueId)
-        -> Poll<Result<bool, DriverError>>;
-
-    /// Appends every ready completion on `qid` — ring CQEs and
-    /// byte-interface status words alike — into `out`.
-    fn drain_completions(
-        &mut self,
-        qid: QueueId,
-        out: &mut Vec<Completion>,
-    ) -> Result<(), DriverError>;
-
-    /// Commands submitted on `qid` whose completions have not yet drained.
-    fn inflight(&self, qid: QueueId) -> usize;
-
-    /// The concrete simulator drive, when this is one — lets the reactor
-    /// surface driver/recovery counters without closing the trait to mock
-    /// backends (which keep the default `None`).
-    fn as_sim(&self) -> Option<&SimDrive> {
-        None
-    }
-}
-
-/// [`Drive`] implemented over the in-simulator [`NvmeDriver`].
-///
-/// A thin adapter: `poll_prepare` maps [`DriverError::QueueFull`] to
-/// `Pending` (the reactor wakes capacity waiters after every drain, when SQ
-/// slots have been released by consumed CQEs), and the flush methods map to
-/// the driver's doorbell-coalescing entry points.
-#[derive(Debug)]
-pub struct SimDrive {
-    driver: NvmeDriver,
-}
-
-impl SimDrive {
-    /// Wraps an [`NvmeDriver`] (with its queues already created).
-    pub fn new(driver: NvmeDriver) -> Self {
-        SimDrive { driver }
-    }
-
-    /// The wrapped driver, for stats and configuration.
-    pub fn driver(&self) -> &NvmeDriver {
-        &self.driver
-    }
-
-    /// Mutable access to the wrapped driver.
-    pub fn driver_mut(&mut self) -> &mut NvmeDriver {
-        &mut self.driver
-    }
-}
-
-impl Drive for SimDrive {
-    fn poll_prepare(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-        cmd: &PassthruCmd,
-        method: TransferMethod,
-    ) -> Poll<Result<SubmittedCmd, DriverError>> {
-        match self.driver.submit(qid, cmd, method) {
-            Ok(sub) => Poll::Ready(Ok(sub)),
-            // Backpressure, not failure: the waker is parked by the caller
-            // (the shard's capacity list) and re-polled after a drain frees
-            // SQ slots.
-            Err(DriverError::QueueFull { .. }) => Poll::Pending,
-            Err(e) => Poll::Ready(Err(e)),
-        }
-    }
-
-    fn poll_submit(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-    ) -> Poll<Result<(), DriverError>> {
-        Poll::Ready(self.driver.flush_sq_if_due(qid))
-    }
-
-    fn poll_flush(
-        &mut self,
-        _cx: &mut Context<'_>,
-        qid: QueueId,
-    ) -> Poll<Result<bool, DriverError>> {
-        Poll::Ready(self.driver.flush_sq(qid))
-    }
-
-    fn drain_completions(
-        &mut self,
-        qid: QueueId,
-        out: &mut Vec<Completion>,
-    ) -> Result<(), DriverError> {
-        self.driver.poll_completions_into(qid, out)
-    }
-
-    fn inflight(&self, qid: QueueId) -> usize {
-        self.driver.inflight_len(qid)
-    }
-
-    fn as_sim(&self) -> Option<&SimDrive> {
-        Some(self)
-    }
-}
 
 /// One parked completion waiter: the waker to call and, once the
 /// dispatcher has routed it, the completion itself.
@@ -201,13 +73,13 @@ pub struct ShardStats {
     pub orphaned: u64,
 }
 
-/// The state one shard owns exclusively: its drive (driver, queues, cid
-/// spaces, inflight tables), its waiter table, and its backpressure list.
+/// The state one shard owns exclusively: its driver (queues, cid spaces,
+/// inflight tables), its waiter table, and its backpressure list.
 /// Nothing here is ever touched from another shard — the dispatcher drains
 /// each queue through the shard that owns it.
 struct Shard {
     index: u16,
-    drive: Box<dyn Drive>,
+    driver: NvmeDriver,
     queues: Vec<QueueId>,
     /// Round-robin cursor for spreading `ShardHandle::submit` across the
     /// shard's queues.
@@ -258,11 +130,6 @@ pub struct ReactorConfig {
     pub retry_policy: Option<RetryPolicy>,
     /// Record a flight-recorder trace of the run.
     pub trace: bool,
-    /// Virtual-time step for [`Reactor::turn`]'s idle advancement (used
-    /// only when nothing is runnable and nothing is ready but commands are
-    /// in flight — e.g. a fault swallowed a doorbell and only the timeout
-    /// reaper can make progress).
-    pub idle_step: Nanos,
 }
 
 impl Default for ReactorConfig {
@@ -278,7 +145,6 @@ impl Default for ReactorConfig {
             flush_policy: Some(FlushPolicy::default()),
             retry_policy: None,
             trace: false,
-            idle_step: Nanos::from_us(10),
         }
     }
 }
@@ -288,8 +154,8 @@ impl Default for ReactorConfig {
 pub struct ReactorStats {
     /// Dispatcher sweeps executed.
     pub turns: u64,
-    /// Idle virtual-time advances (no runnable task, no ready completion,
-    /// commands in flight).
+    /// Idle virtual-time advances by the retry policy's poll step (no
+    /// runnable task, no ready completion, commands in flight).
     pub idle_advances: u64,
     /// Commands submitted across all shards.
     pub submitted: u64,
@@ -309,7 +175,7 @@ pub struct Reactor {
     bus: SystemBus,
     ctrl: Rc<RefCell<Controller>>,
     shards: Vec<Rc<RefCell<Shard>>>,
-    idle_step: Nanos,
+    retry_policy: Option<RetryPolicy>,
     turns: u64,
     idle_advances: u64,
 }
@@ -356,7 +222,7 @@ impl Reactor {
             }
             shards.push(Rc::new(RefCell::new(Shard {
                 index: index as u16,
-                drive: Box::new(SimDrive::new(driver)),
+                driver,
                 queues,
                 next_queue: 0,
                 waiters: BTreeMap::new(),
@@ -369,7 +235,7 @@ impl Reactor {
             bus,
             ctrl: Rc::new(RefCell::new(ctrl)),
             shards,
-            idle_step: cfg.idle_step,
+            retry_policy: cfg.retry_policy,
             turns: 0,
             idle_advances: 0,
         })
@@ -426,18 +292,15 @@ impl Reactor {
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut acc = RecoveryStats::default();
         for shard in &self.shards {
-            let shard = shard.borrow();
-            let r = shard.drive.as_sim().map(|s| s.driver().recovery_stats());
-            if let Some(r) = r {
-                acc.timeouts += r.timeouts;
-                acc.retries += r.retries;
-                acc.retries_exhausted += r.retries_exhausted;
-                acc.bx_failures += r.bx_failures;
-                acc.fallbacks += r.fallbacks;
-                acc.probes += r.probes;
-                acc.repromotions += r.repromotions;
-                acc.spurious_completions += r.spurious_completions;
-            }
+            let r = shard.borrow().driver.recovery_stats();
+            acc.timeouts += r.timeouts;
+            acc.retries += r.retries;
+            acc.retries_exhausted += r.retries_exhausted;
+            acc.bx_failures += r.bx_failures;
+            acc.fallbacks += r.fallbacks;
+            acc.probes += r.probes;
+            acc.repromotions += r.repromotions;
+            acc.spurious_completions += r.spurious_completions;
         }
         acc
     }
@@ -446,17 +309,15 @@ impl Reactor {
     pub fn driver_stats(&self) -> DriverStats {
         let mut acc = DriverStats::default();
         for shard in &self.shards {
-            let shard = shard.borrow();
-            if let Some(s) = shard.drive.as_sim().map(|s| s.driver().stats()) {
-                acc.submissions += s.submissions;
-                acc.doorbells += s.doorbells;
-                acc.chunks_written += s.chunks_written;
-                acc.frags_issued += s.frags_issued;
-                acc.pages_mapped += s.pages_mapped;
-                acc.sgl_fallbacks += s.sgl_fallbacks;
-                acc.batch_flushes += s.batch_flushes;
-                acc.batched_cmds += s.batched_cmds;
-            }
+            let s = shard.borrow().driver.stats();
+            acc.submissions += s.submissions;
+            acc.doorbells += s.doorbells;
+            acc.chunks_written += s.chunks_written;
+            acc.frags_issued += s.frags_issued;
+            acc.pages_mapped += s.pages_mapped;
+            acc.sgl_fallbacks += s.sgl_fallbacks;
+            acc.batch_flushes += s.batch_flushes;
+            acc.batched_cmds += s.batched_cmds;
         }
         acc
     }
@@ -470,7 +331,7 @@ impl Reactor {
                 shard
                     .queues
                     .iter()
-                    .map(|&q| shard.drive.inflight(q))
+                    .map(|&q| shard.driver.inflight_len(q))
                     .sum::<usize>()
             })
             .sum()
@@ -487,7 +348,6 @@ impl Reactor {
     /// CQEs and byte-interface status words take the same route.
     pub fn turn(&mut self) -> usize {
         self.turns += 1;
-        let mut noop_cx = Context::from_waker(Waker::noop());
         for shard in &self.shards {
             let mut shard = shard.borrow_mut();
             let queues = shard.queues.clone();
@@ -495,7 +355,7 @@ impl Reactor {
                 // Force the staged tail out: the executor only calls turn()
                 // when no task is runnable, so anything staged has no other
                 // doorbell coming.
-                let _ = shard.drive.poll_flush(&mut noop_cx, qid);
+                let _ = shard.driver.flush_sq(qid);
             }
         }
         self.ctrl.borrow_mut().process_available();
@@ -508,8 +368,8 @@ impl Reactor {
             for qid in queues {
                 shard.drained.clear();
                 if shard
-                    .drive
-                    .drain_completions(qid, &mut shard.drained)
+                    .driver
+                    .poll_completions_into(qid, &mut shard.drained)
                     .is_err()
                 {
                     continue;
@@ -554,16 +414,20 @@ impl Reactor {
     /// Runs `tasks` to completion on the single-threaded executor,
     /// returning their outputs in task order.
     ///
-    /// The loop polls every woken task, then calls [`Reactor::turn`]; when
-    /// neither makes progress but commands are in flight, virtual time
-    /// advances by [`ReactorConfig::idle_step`] so the device (or, with a
-    /// [`RetryPolicy`] installed, the timeout reaper) can break the stall.
+    /// The loop polls every woken task, then calls [`Reactor::turn`]. When
+    /// neither makes progress but commands are in flight, a
+    /// [`RetryPolicy`] breaks the stall: virtual time advances by its poll
+    /// step until the timeout reaper resolves the lost commands.
     ///
     /// # Panics
     ///
-    /// Panics if the task set deadlocks: some task is pending while no
-    /// command is in flight and no completion can ever arrive (e.g. a
-    /// future awaiting something the reactor does not drive).
+    /// Panics (`reactor deadlock`) if the task set can make no progress:
+    /// some task is pending and no completion can ever arrive — either no
+    /// command is in flight (a future awaiting something the reactor does
+    /// not drive), or commands are in flight that the controller will never
+    /// complete (e.g. a lost doorbell) and no retry policy can reap them.
+    /// The turn before already ran the controller to quiescence, so
+    /// waiting longer would only spin.
     pub fn run<T>(&mut self, tasks: Vec<Pin<Box<dyn Future<Output = T>>>>) -> Vec<T> {
         struct Slot<T> {
             future: Pin<Box<dyn Future<Output = T>>>,
@@ -600,21 +464,23 @@ impl Reactor {
             let dispatched = self.turn();
             let woken = slots.iter().any(|s| s.output.is_none() && s.flag.is_set());
             if !polled && dispatched == 0 && !woken {
-                if self.inflight() > 0 {
-                    // Nothing runnable, nothing ready, commands in flight:
-                    // the device needs time (or the reaper needs the
-                    // deadline to lapse). Step the clock.
-                    self.idle_advances += 1;
-                    let step = self.idle_step;
-                    self.bus
-                        .trace
-                        .emit(None, || EventKind::ReactorIdleAdvance { step });
-                    self.bus.clock.advance(step);
-                } else {
-                    // bx-lint: allow(panic-freedom, reason = "a pending task with zero commands in flight can never be woken — failing loudly beats spinning forever")
-                    panic!(
-                        "reactor deadlock: {remaining} task(s) pending with no command in flight"
-                    );
+                let inflight = self.inflight();
+                match self.retry_policy {
+                    Some(policy) if inflight > 0 => {
+                        // Nothing runnable, nothing ready, commands in
+                        // flight: the reaper needs the deadline to lapse.
+                        self.idle_advances += 1;
+                        let step = policy.poll_step();
+                        self.bus
+                            .trace
+                            .emit(None, || EventKind::ReactorIdleAdvance { step });
+                        self.bus.clock.advance(step);
+                    }
+                    // bx-lint: allow(panic-freedom, reason = "no pending task can ever be woken — failing loudly beats spinning forever")
+                    _ => panic!(
+                        "reactor deadlock: {remaining} task(s) pending, {inflight} command(s) \
+                         in flight and no retry policy to reap them"
+                    ),
                 }
             }
         }
@@ -737,19 +603,20 @@ impl Future for CommandFuture {
                         "CommandFuture polled after completion",
                     )));
                 };
-                match shard.drive.poll_prepare(cx, this.qid, cmd, this.method) {
-                    Poll::Pending => {
-                        // SQ full: park on the shard's capacity list; the
-                        // dispatcher wakes it after the next drain.
+                match shard.driver.submit(this.qid, cmd, this.method) {
+                    Err(DriverError::QueueFull { .. }) => {
+                        // Backpressure, not failure: park on the shard's
+                        // capacity list; the dispatcher wakes it after the
+                        // next drain frees SQ slots.
                         shard.capacity.push(cx.waker().clone());
                         // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }
-                    Poll::Ready(Err(e)) => {
+                    Err(e) => {
                         this.state = FutureState::Done;
                         Poll::Ready(Err(e))
                     }
-                    Poll::Ready(Ok(sub)) => {
+                    Ok(sub) => {
                         this.cmd = None;
                         this.state = FutureState::Waiting { cid: sub.cid };
                         shard.stats.submitted += 1;
@@ -762,7 +629,7 @@ impl Future for CommandFuture {
                         );
                         // Let the flush policy ring a due doorbell now
                         // rather than waiting for the executor to go idle.
-                        let _ = shard.drive.poll_submit(cx, this.qid);
+                        let _ = shard.driver.flush_sq_if_due(this.qid);
                         // bx-lint: allow(borrow-across-pending, reason = "guard drops as this tail expression returns; wakes are deferred flag-sets, never re-entrant polls")
                         Poll::Pending
                     }

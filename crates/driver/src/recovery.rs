@@ -15,9 +15,10 @@ use std::fmt;
 
 /// Timeout/retry/degradation policy for [`crate::NvmeDriver`].
 ///
-/// Installing a policy (see `NvmeDriver::set_retry_policy`) switches
-/// `execute` onto the recovering path; without one the driver keeps its
-/// original panic-on-lost-completion behaviour, byte-identical on the wire.
+/// Installing a policy (see `NvmeDriver::set_retry_policy`) gives every
+/// command a deadline and lets `execute` retry and degrade; without one
+/// `execute` makes a single attempt, byte-identical on the wire, and a
+/// command that never completes is a `DriverError::Timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Per-attempt completion deadline. Must exceed the controller's

@@ -206,6 +206,31 @@ fn lost_doorbell_surfaces_as_aborted_completion() {
     assert!(reactor.recovery_stats().timeouts > 0);
 }
 
+/// The same lost doorbell with no retry policy: nothing can ever complete
+/// the command, so `run` reports the deadlock instead of spinning.
+#[test]
+#[should_panic(expected = "reactor deadlock")]
+fn lost_doorbell_without_retry_policy_is_a_deadlock() {
+    let mut reactor = Reactor::new(ReactorConfig {
+        shards: 1,
+        retry_policy: None,
+        flush_policy: None,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor construction");
+    reactor.bus().install_faults(FaultConfig {
+        drop_doorbell: 1.0,
+        ..FaultConfig::disabled()
+    });
+    let handle = reactor.handle(0);
+    let task: Task<Result<Completion, DriverError>> = Box::pin(async move {
+        handle
+            .submit(write_cmd(0, vec![1; 64]), TransferMethod::Prp)
+            .await
+    });
+    reactor.run(vec![task]);
+}
+
 /// Virtual time is deterministic: two identical multi-shard runs finish at
 /// the same virtual instant with identical counters.
 #[test]

@@ -5,10 +5,13 @@
 //! fills every pool (driver cid slab, SQ ring images, controller scratch
 //! payload, deferred-completion queue, reassembly spare buffers), a
 //! 10k-command pipelined submit→complete window must perform **zero** heap
-//! allocations. This pins the PR-8 tentpole: in-flight command state lives
-//! in a slab, inline chunks encode into a stack buffer, `gather_inline`
-//! streams into a recycled scratch `Vec`, and completions poll into a
-//! caller-owned buffer via `poll_completions_into`.
+//! allocations. In-flight command state lives in a slab, inline chunks
+//! encode into a stack buffer, `gather_inline` streams into a recycled
+//! scratch `Vec`, and completions poll into a caller-owned buffer via
+//! `poll_completions_into`. A second window pins the synchronous path:
+//! `Device::passthru` (→ `NvmeDriver::execute` → the driver's completion
+//! wait, which polls into driver-owned scratch) must allocate nothing
+//! either.
 //!
 //! The file holds exactly one `#[test]` so no sibling test thread can
 //! allocate while the counter is armed.
@@ -58,6 +61,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const QUEUES: usize = 4;
 const ROUND_QD: usize = 8;
 const WINDOW_CMDS: usize = 10_000;
+const SYNC_CMDS: usize = 1_000;
 
 fn write_cmd(lba: u64, len: usize) -> PassthruCmd {
     let data: Vec<u8> = (0..len).map(|j| (lba as usize + j) as u8).collect();
@@ -145,12 +149,39 @@ fn pipelined_hot_path_is_allocation_free_in_steady_state() {
     ARMED.store(false, Ordering::SeqCst);
 
     assert!(total >= WINDOW_CMDS, "window too small: {total}");
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.swap(0, Ordering::SeqCst);
+    let reallocs = REALLOCS.swap(0, Ordering::SeqCst);
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
         "steady-state pipelined window must not touch the heap \
          ({total} commands performed {allocs} allocs + {reallocs} reallocs)"
+    );
+
+    // The synchronous window: warmed-up ByteExpress 64 B writes through
+    // `Device::passthru`, one at a time.
+    let cmd = write_cmd(0, 64);
+    let mut sync = |dev: &mut Device| {
+        let c = dev
+            .passthru(&cmd, TransferMethod::ByteExpress)
+            .expect("passthru must succeed");
+        assert!(c.status.is_success(), "completion failed: {:?}", c.status);
+    };
+    for _ in 0..16 {
+        sync(&mut dev);
+    }
+    ARMED.store(true, Ordering::SeqCst);
+    for _ in 0..SYNC_CMDS {
+        sync(&mut dev);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let reallocs = REALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        (allocs, reallocs),
+        (0, 0),
+        "steady-state Device::passthru must not touch the heap \
+         ({SYNC_CMDS} commands performed {allocs} allocs + {reallocs} reallocs)"
     );
 }
